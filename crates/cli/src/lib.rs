@@ -18,11 +18,19 @@
 //! schemachron lint [--seed N] [--jobs N] [--format json] [--deny warnings] [--dir <dir>]
 //! schemachron experiments [<id> | all] [--seed N] [--jobs N]
 //! schemachron asof <project> --at YYYY-MM [--diff YYYY-MM] [--provenance SUBJ]
+//! schemachron plan <project> --from YYYY-MM --to YYYY-MM --dialect pg|mysql|sqlite
 //! schemachron safety <project> [--seed N] [--jobs N] [--format json]
+//! schemachron serve [--addr HOST:PORT] [--seed N] [--jobs N] [--stream-dir DIR]
+//! schemachron append <project> --seq N --date YYYY-MM-DD (--sql DDL | --file F) --wal-dir DIR
+//! schemachron watch --dir <src> --wal-dir DIR [--project NAME] [--once]
 //! schemachron chart <dir> [--snapshot]
 //! schemachron chaos [--seed N] [--fault-seed N] [--rate R] [--site S]...
 //! schemachron help
 //! ```
+//!
+//! `asof`, `plan` and `safety` parse, answer and fail through the serve
+//! crate's shared query path (`schemachron_serve::query`), so their
+//! `--format json` output is the matching HTTP route's body byte for byte.
 //!
 //! The library form ([`run`]) takes the argument vector and an output sink,
 //! which keeps the whole tool unit-testable.
@@ -33,7 +41,7 @@ mod stream_cli;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use schemachron_bench::context::ExpContext;
+use schemachron_bench::context::{shared_corpus, ExpContext};
 use schemachron_bench::experiments as exp;
 use schemachron_chart::ascii::{render_annotated, AsciiChart};
 use schemachron_chart::svg::SvgChart;
@@ -43,15 +51,17 @@ use schemachron_core::{classify, classify_nearest};
 use schemachron_corpus::io::{load_project_dir, write_corpus_dir, write_metrics_csv};
 use schemachron_corpus::Corpus;
 use schemachron_history::IngestMode;
+use schemachron_safety::PlanSafety;
+use schemachron_serve::http::Response;
+use schemachron_serve::query::{self, flag, opt_value, Answer, Query};
 
-/// Exit code for general failures (bad arguments, missing files, ...).
-pub const EXIT_FAILURE: u8 = 1;
+/// Exit code for general failures (bad arguments, missing files, ...), and
+/// [`EXIT_PLAN`] for a migration plan the dialect refused or could not
+/// replay faithfully; both come from the shared query error table.
+pub use schemachron_serve::query::{EXIT_FAILURE, EXIT_PLAN};
 /// Exit code for `serve` failing to bind its address — distinct so
 /// supervisors can tell "port problem" from "bad invocation".
 pub const EXIT_BIND: u8 = 2;
-/// Exit code when a migration plan cannot be produced: the dialect refused
-/// an op (under `--no-rebuild`) or the plan did not replay faithfully.
-pub const EXIT_PLAN: u8 = 2;
 /// Exit code when `plan --deny-lossy` refuses a plan the safety analyzer
 /// classifies as lossy — distinct from [`EXIT_PLAN`] so callers can tell
 /// "the dialect cannot express this" from "the plan would destroy data".
@@ -121,9 +131,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> CliResult {
         Some("lint") => lint(&args[1..], out),
         Some("corpus") => corpus(&args[1..], out),
         Some("experiments") => experiments(&args[1..], out),
-        Some("asof") => asof(&args[1..], out),
-        Some("plan") => plan_cmd(&args[1..], out),
-        Some("safety") => safety_cmd(&args[1..], out),
+        Some(cmd @ ("asof" | "plan" | "safety")) => query_cmd(cmd, &args[1..], out),
         Some("serve") => serve(&args[1..], out),
         Some("append") => stream_cli::run_append(&args[1..], out),
         Some("watch") => stream_cli::run_watch(&args[1..], out),
@@ -245,23 +253,19 @@ pub fn usage() -> &'static str {
      \x20 label distribution preserved exactly."
 }
 
-fn flag(args: &[&str], name: &str) -> bool {
-    args.contains(&name)
-}
-
-fn opt_value<'a>(args: &'a [&'a str], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| *a == name)
-        .and_then(|i| args.get(i + 1))
-        .copied()
-}
-
 fn seed_of(args: &[&str]) -> Result<u64, CliError> {
-    match opt_value(args, "--seed") {
-        None => Ok(schemachron_bench::DEFAULT_SEED),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::new(format!("invalid --seed value `{v}`"))),
+    query::seed_param(opt_value(args, "--seed"), "--seed", schemachron_bench::DEFAULT_SEED)
+        .map_err(|e| CliError::new(e.to_string()))
+}
+
+/// Parses `--format human|json`; true for JSON.
+fn json_format(args: &[&str]) -> Result<bool, CliError> {
+    match opt_value(args, "--format") {
+        None | Some("human") => Ok(false),
+        Some("json") => Ok(true),
+        Some(other) => Err(CliError::new(format!(
+            "invalid --format value `{other}` (expected `human` or `json`)"
+        ))),
     }
 }
 
@@ -300,38 +304,12 @@ fn positional<'a>(argv: &'a [&'a str]) -> Option<&'a str> {
     None
 }
 
+/// Whether option `opt` is followed by a value: every option is, except
+/// the bare flags.
 fn takes_value(opt: &str) -> bool {
-    matches!(
+    !matches!(
         opt,
-        "--seed"
-            | "--out"
-            | "--svg"
-            | "--jobs"
-            | "--scale"
-            | "--addr"
-            | "--format"
-            | "--deny"
-            | "--dir"
-            | "--fault-seed"
-            | "--rate"
-            | "--site"
-            | "--slow-ms"
-            | "--deadline-ms"
-            | "--at"
-            | "--diff"
-            | "--provenance"
-            | "--k"
-            | "--from"
-            | "--to"
-            | "--dialect"
-            | "--stream-dir"
-            | "--wal-dir"
-            | "--seq"
-            | "--date"
-            | "--sql"
-            | "--file"
-            | "--project"
-            | "--interval-ms"
+        "--snapshot" | "--chart" | "--no-rebuild" | "--deny-lossy" | "--explain-safety" | "--once"
     )
 }
 
@@ -711,15 +689,7 @@ fn lint(args: &[String], out: &mut dyn Write) -> CliResult {
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
     let seed = seed_of(&argv)?;
     apply_jobs(&argv)?;
-    let json = match opt_value(&argv, "--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(CliError::new(format!(
-                "invalid --format value `{other}` (expected `human` or `json`)"
-            )))
-        }
-    };
+    let json = json_format(&argv)?;
     let deny_warnings = match opt_value(&argv, "--deny") {
         None => false,
         Some("warnings") => true,
@@ -784,314 +754,80 @@ fn experiments(args: &[String], out: &mut dyn Write) -> CliResult {
     Ok(())
 }
 
-/// `schemachron asof` — time-travel queries over one corpus project.
-fn asof(args: &[String], out: &mut dyn Write) -> CliResult {
-    use schemachron_asof::render;
-    use schemachron_history::MonthId;
-
+/// `schemachron asof|plan|safety` — one history query through the shared
+/// query path. `--format json` prints the body the matching serve route
+/// answers with, byte for byte; `plan --deny-lossy` and `--explain-safety`
+/// post-process the plan answer here, on the CLI only.
+fn query_cmd(command: &str, args: &[String], out: &mut dyn Write) -> CliResult {
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-    let seed = seed_of(&argv)?;
     apply_jobs(&argv)?;
-    let json = match opt_value(&argv, "--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(CliError::new(format!(
-                "invalid --format value `{other}` (expected `human` or `json`)"
-            )))
-        }
-    };
-    let k = match opt_value(&argv, "--k") {
-        None => schemachron_asof::DEFAULT_K_MONTHS,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                return Err(CliError::new(format!(
-                    "invalid --k value `{v}` (expected a positive checkpoint spacing in months)"
-                )))
-            }
-        },
-    };
-    let name =
-        positional(&argv).ok_or_else(|| CliError::new("asof: missing <project> name"))?;
-    let corpus = Corpus::generate(seed);
-    let project = corpus
-        .projects()
-        .iter()
-        .find(|p| p.card.name == name)
-        .ok_or_else(|| {
-            CliError::new(format!(
-                "asof: no project `{name}` in the seed-{seed} corpus\n\
-                 hint: `schemachron serve` route /corpus/{seed}/projects lists the names"
-            ))
+    let json = json_format(&argv)?;
+    let project = positional(&argv)
+        .ok_or_else(|| CliError::new(format!("{command}: missing <project> name")))?;
+    let answer = Query::from_args(command, project, &argv)
+        .and_then(|q| query::execute(&shared_corpus(q.seed), &q))
+        .map_err(|e| {
+            let hint = e.hint().map(|h| format!("\nhint: {h}")).unwrap_or_default();
+            CliError::with_code(format!("{command}: {e}{hint}"), e.exit_code())
         })?;
-    let index = schemachron_asof::index_for(project, seed, k).ok_or_else(|| {
-        CliError::new(format!(
-            "asof: {name} retains no schema versions to index"
-        ))
-    })?;
-
-    let month = |key: &str| -> Result<MonthId, CliError> {
-        let raw = opt_value(&argv, key)
-            .ok_or_else(|| CliError::new(format!("asof: missing {key} YYYY-MM")))?;
-        raw.parse().map_err(|e: schemachron_history::MonthParseError| {
-            CliError::new(format!(
-                "asof: {e}\nhint: months are written YYYY-MM, e.g. 2009-06"
-            ))
-        })
-    };
-    let in_lifespan = |m: MonthId| -> Result<(), CliError> {
-        if index.in_lifespan(m) {
-            return Ok(());
-        }
-        Err(CliError::new(format!(
-            "asof: {m} is outside {name}'s lifespan {}..{} ({} months)",
-            index.start(),
-            index.last_month(),
-            index.months()
-        )))
-    };
-    let emit = |out: &mut dyn Write, value: &serde_json::Value, human: String| -> CliResult {
-        if json {
-            // Matches the serve routes byte for byte: pretty JSON + newline.
-            let body =
-                serde_json::to_string_pretty(value).unwrap_or_else(|_| "{}".to_owned());
-            let _ = writeln!(out, "{body}");
-        } else {
-            let _ = write!(out, "{human}");
-        }
-        Ok(())
-    };
-
-    if let Some(subject) = opt_value(&argv, "--provenance") {
-        let (table, column) = match subject.split_once('.') {
-            Some((t, c)) => (t, Some(c)),
-            None => (subject, None),
-        };
-        let p = index.provenance(table, column).ok_or_else(|| {
-            CliError::new(format!(
-                "asof: {name} never defined `{subject}`\n\
-                 hint: provenance subjects are TABLE or TABLE.COLUMN"
-            ))
-        })?;
-        return emit(
-            out,
-            &render::provenance_json(&index, &p),
-            render::provenance_human(&index, &p),
-        );
-    }
-    if opt_value(&argv, "--diff").is_some() {
-        let from = month("--at")?;
-        let to = month("--diff")?;
-        in_lifespan(from)?;
-        in_lifespan(to)?;
-        let d = index
-            .diff_between(from, to)
-            .ok_or_else(|| CliError::new("asof: diff endpoints left the lifespan"))?;
-        return emit(
-            out,
-            &render::diff_json(&index, from, to, &d),
-            render::diff_human(&index, from, to, &d),
-        );
-    }
-    let m = month("--at")?;
-    in_lifespan(m)?;
-    let schema = index
-        .schema_as_of(m)
-        .ok_or_else(|| CliError::new("asof: month left the lifespan"))?;
-    emit(
-        out,
-        &render::schema_json(&index, m, &schema),
-        render::schema_human(&index, m, &schema),
-    )
-}
-
-/// Plans the forward migration between two months of a project's history.
-fn plan_cmd(args: &[String], out: &mut dyn Write) -> CliResult {
-    use schemachron_asof::render;
-    use schemachron_dialect::{dialect_named, report, PlanOptions, DIALECT_KEYWORDS};
-    use schemachron_history::MonthId;
-
-    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-    let seed = seed_of(&argv)?;
-    apply_jobs(&argv)?;
-    let json = match opt_value(&argv, "--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(CliError::new(format!(
-                "invalid --format value `{other}` (expected `human` or `json`)"
-            )))
-        }
-    };
-    let keywords = DIALECT_KEYWORDS.join("|");
-    let dialect = match opt_value(&argv, "--dialect") {
-        None => {
-            return Err(CliError::new(format!(
-                "plan: missing --dialect {keywords}"
-            )))
-        }
-        Some(kw) => dialect_named(kw).ok_or_else(|| {
-            CliError::new(format!(
-                "plan: unknown dialect `{kw}` (expected {keywords})"
-            ))
-        })?,
-    };
-    let name = positional(&argv).ok_or_else(|| CliError::new("plan: missing <project> name"))?;
-    let corpus = Corpus::generate(seed);
-    let project = corpus
-        .projects()
-        .iter()
-        .find(|p| p.card.name == name)
-        .ok_or_else(|| {
-            CliError::new(format!(
-                "plan: no project `{name}` in the seed-{seed} corpus\n\
-                 hint: `schemachron serve` route /corpus/{seed}/projects lists the names"
-            ))
-        })?;
-    let index = schemachron_asof::index_for(project, seed, schemachron_asof::DEFAULT_K_MONTHS)
-        .ok_or_else(|| {
-            CliError::new(format!("plan: {name} retains no schema versions to index"))
-        })?;
-
-    let month = |key: &str| -> Result<MonthId, CliError> {
-        let raw = opt_value(&argv, key)
-            .ok_or_else(|| CliError::new(format!("plan: missing {key} YYYY-MM")))?;
-        raw.parse().map_err(|e: schemachron_history::MonthParseError| {
-            CliError::new(format!(
-                "plan: {e}\nhint: months are written YYYY-MM, e.g. 2009-06"
-            ))
-        })
-    };
-    let from = month("--from")?;
-    let to = month("--to")?;
-    for m in [from, to] {
-        if !index.in_lifespan(m) {
-            return Err(CliError::new(format!(
-                "plan: {m} is outside {name}'s lifespan {}..{} ({} months)",
-                index.start(),
-                index.last_month(),
-                index.months()
-            )));
-        }
-    }
-    let from_schema = index
-        .schema_as_of(from)
-        .ok_or_else(|| CliError::new("plan: --from month left the lifespan"))?;
-    let to_schema = index
-        .schema_as_of(to)
-        .ok_or_else(|| CliError::new("plan: --to month left the lifespan"))?;
-
-    let opts = PlanOptions {
-        allow_rebuild: !flag(&argv, "--no-rebuild"),
-    };
-    let plan = schemachron_dialect::plan(&from_schema, &to_schema, dialect, &opts).map_err(|e| {
-        CliError::with_code(
-            format!("plan: {e}\nhint: {}", schemachron_dialect::refusal_hint(dialect.name())),
-            EXIT_PLAN,
-        )
-    })?;
-
-    // The safety classification covers the plan as rendered: a rebuild
-    // fallback is reclassified (DROP + CREATE is always lossy), not judged
-    // by the in-place ops it absorbed.
-    let deny_lossy = flag(&argv, "--deny-lossy");
-    let explain = flag(&argv, "--explain-safety");
-    let safety = if deny_lossy || explain {
-        let ops = schemachron_dialect::diff_ops(&from_schema, &to_schema);
-        Some(schemachron_safety::classify_plan(&plan, &ops, &from_schema))
-    } else {
-        None
-    };
-    if deny_lossy {
-        if let Some(s) = safety.as_ref().filter(|s| s.safety == schemachron_safety::Safety::Lossy) {
-            let offender = s.offender.as_deref().unwrap_or("(plan)");
-            let reason = s.reason.as_deref().unwrap_or("the plan destroys data");
-            return Err(CliError::with_code(
-                format!(
-                    "plan: lossy plan denied: `{offender}` — {reason}\n\
-                     hint: drop --deny-lossy to accept the data loss, or plan a \
-                     narrower month span that avoids the destructive op"
-                ),
-                EXIT_LOSSY,
-            ));
-        }
-    }
-
-    let req = render::plan_request(&index, from, to);
+    let safety = plan_safety(&answer, &argv)?;
     if json {
-        // Matches the serve plan route byte for byte: pretty JSON + newline.
-        // --explain-safety appends a CLI-only `safety` object after the
-        // shared shape, so plans without it stay byte-identical to serve.
-        let mut v = report::plan_json(&req, &plan);
-        if let (Some(s), serde_json::Value::Object(map)) = (explain.then_some(()).and(safety), &mut v)
-        {
+        let mut v = answer.to_json();
+        if let (Some(s), serde_json::Value::Object(map)) = (&safety, &mut v) {
             map.insert(
                 "safety".to_owned(),
                 serde_json::json!({
                     "class": (s.safety.tag()),
-                    "offender": (s.offender.map_or(serde_json::Value::Null, serde_json::Value::String)),
-                    "reason": (s.reason.map_or(serde_json::Value::Null, serde_json::Value::String)),
+                    "offender": (s.offender.clone()),
+                    "reason": (s.reason.clone()),
                 }),
             );
         }
-        let body = serde_json::to_string_pretty(&v).unwrap_or_else(|_| "{}".to_owned());
-        let _ = writeln!(out, "{body}");
+        out.write_all(&Response::json(200, &v).body)?;
     } else {
-        let _ = write!(out, "{}", report::plan_human(&req, &plan));
-        if let (true, Some(s)) = (explain, safety) {
-            let _ = match (s.offender, s.reason) {
-                (Some(offender), Some(reason)) => writeln!(
-                    out,
-                    "safety: {} — worst op `{offender}`: {reason}",
-                    s.safety.tag()
-                ),
-                _ => writeln!(out, "safety: {} — every op is invertible from schema alone", s.safety.tag()),
-            };
-        }
+        let _ = write!(out, "{}", answer.to_human());
+        let _ = match safety {
+            Some(PlanSafety { safety, offender: Some(offender), reason: Some(reason) }) => {
+                writeln!(out, "safety: {} — worst op `{offender}`: {reason}", safety.tag())
+            }
+            Some(s) => {
+                let class = s.safety.tag();
+                writeln!(out, "safety: {class} — every op is invertible from schema alone")
+            }
+            None => Ok(()),
+        };
     }
     Ok(())
 }
 
-/// `schemachron safety` — static data-loss audit of one corpus project.
-fn safety_cmd(args: &[String], out: &mut dyn Write) -> CliResult {
-    use schemachron_safety::render;
-
-    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-    let seed = seed_of(&argv)?;
-    apply_jobs(&argv)?;
-    let json = match opt_value(&argv, "--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(CliError::new(format!(
-                "invalid --format value `{other}` (expected `human` or `json`)"
-            )))
-        }
+/// The safety class `plan --deny-lossy` / `--explain-safety` ask for, or
+/// `None` when neither flag is given. It covers the plan as rendered: a
+/// rebuild fallback is reclassified (DROP + CREATE is always lossy), not
+/// judged by the in-place ops it absorbed. A lossy plan under
+/// `--deny-lossy` is refused with [`EXIT_LOSSY`].
+fn plan_safety(answer: &Answer, argv: &[&str]) -> Result<Option<PlanSafety>, CliError> {
+    let (deny, explain) = (flag(argv, "--deny-lossy"), flag(argv, "--explain-safety"));
+    let Answer::Plan { plan, from_schema, to_schema, .. } = answer else {
+        return Ok(None);
     };
-    let name =
-        positional(&argv).ok_or_else(|| CliError::new("safety: missing <project> name"))?;
-    let corpus = Corpus::generate(seed);
-    let project = corpus
-        .projects()
-        .iter()
-        .find(|p| p.card.name == name)
-        .ok_or_else(|| {
-            CliError::new(format!(
-                "safety: no project `{name}` in the seed-{seed} corpus\n\
-                 hint: `schemachron serve` route /corpus/{seed}/projects lists the names"
-            ))
-        })?;
-    let artifact = schemachron_safety::safety_for(&project.card, seed);
-    if json {
-        // Matches the serve safety route byte for byte: pretty JSON + newline.
-        let body = serde_json::to_string_pretty(&render::safety_json(&artifact.analysis))
-            .unwrap_or_else(|_| "{}".to_owned());
-        let _ = writeln!(out, "{body}");
-    } else {
-        let _ = write!(out, "{}", render::safety_human(&artifact.analysis));
+    if !deny && !explain {
+        return Ok(None);
     }
-    Ok(())
+    let ops = schemachron_dialect::diff_ops(from_schema, to_schema);
+    let s = schemachron_safety::classify_plan(plan, &ops, from_schema);
+    if deny && s.safety == schemachron_safety::Safety::Lossy {
+        let offender = s.offender.as_deref().unwrap_or("(plan)");
+        let reason = s.reason.as_deref().unwrap_or("the plan destroys data");
+        return Err(CliError::with_code(
+            format!(
+                "plan: lossy plan denied: `{offender}` — {reason}\n\
+                 hint: drop --deny-lossy to accept the data loss, or plan a \
+                 narrower month span that avoids the destructive op"
+            ),
+            EXIT_LOSSY,
+        ));
+    }
+    Ok(explain.then_some(s))
 }
 
 /// Diffs two schema dumps and reports the paper's change taxonomy.
@@ -1454,32 +1190,7 @@ mod tests {
     }
 
     #[test]
-    fn asof_json_matches_the_serve_route_byte_for_byte() {
-        let (name, _, last, table) = asof_subject();
-        let state = schemachron_serve::AppState::new(schemachron_bench::DEFAULT_SEED);
-        let via_serve = |path: &str, query: &[(&str, &str)]| -> String {
-            let mut req = schemachron_serve::http::Request::get(path);
-            req.query = query
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect();
-            let resp = state.handle(&req);
-            assert_eq!(resp.status, 200, "{path}");
-            String::from_utf8(resp.body).unwrap()
-        };
-
-        let cli = run_to_string(&["asof", &name, "--at", &last, "--format", "json"]).unwrap();
-        let srv = via_serve(&format!("/project/{name}/schema"), &[("asof", &last)]);
-        assert_eq!(cli, srv, "schema answers must be byte-identical");
-
-        let cli =
-            run_to_string(&["asof", &name, "--provenance", &table, "--format", "json"]).unwrap();
-        let srv = via_serve(&format!("/project/{name}/provenance/{table}"), &[]);
-        assert_eq!(cli, srv, "provenance answers must be byte-identical");
-    }
-
-    #[test]
-    fn safety_reports_the_lattice_and_matches_the_serve_route() {
+    fn safety_reports_the_lattice() {
         let (name, _, _, _) = asof_subject();
 
         let human = run_to_string(&["safety", &name]).unwrap();
@@ -1492,17 +1203,6 @@ mod tests {
         assert!(v["ops"].as_u64().is_some(), "{j}");
         assert!(v["summary"]["worst"].as_str().is_some(), "{j}");
         assert!(v["transitions"].as_array().is_some(), "{j}");
-
-        // Byte-identical to `GET /project/{id}/safety`: one render layer.
-        let state = schemachron_serve::AppState::new(schemachron_bench::DEFAULT_SEED);
-        let req = schemachron_serve::http::Request::get(&format!("/project/{name}/safety"));
-        let resp = state.handle(&req);
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            j,
-            String::from_utf8(resp.body).unwrap(),
-            "safety answers must be byte-identical"
-        );
 
         assert!(run_to_string(&["safety"]).is_err());
         let err = run_to_string(&["safety", "no-such-project"]).expect_err("ghost project");
@@ -1526,6 +1226,24 @@ mod tests {
         let err = run_to_string(&["asof", &name, "--at", "1901-01"])
             .expect_err("out of lifespan");
         assert!(err.message.contains("lifespan"), "{}", err.message);
+    }
+
+    #[test]
+    fn plan_honours_the_k_flag() {
+        let plan = |k: &str| {
+            run_to_string(&[
+                "plan", "curated-132", "--from", "2015-12", "--to", "2017-06", "--dialect",
+                "pg", "--format", "json", "--k", k,
+            ])
+        };
+        let err = plan("0").expect_err("--k 0 is not a checkpoint spacing");
+        assert!(err.message.contains("--k"), "{}", err.message);
+        assert_eq!(err.code, EXIT_FAILURE);
+        // Checkpoint spacing dials lookup cost, never the answer.
+        let golden = include_str!("../../../goldens/plan/curated-132_2015-12_2017-06_pg.json");
+        for k in ["1", "48"] {
+            assert_eq!(plan(k).unwrap(), golden, "--k {k}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use schemachron_fault as fault;
 use schemachron_stream::{render, Append, StreamError, StreamStore};
 
-use crate::{flag, opt_value, positional, CliError, CliResult};
+use crate::{flag, json_format, opt_value, positional, CliError, CliResult};
 
 /// How many times `watch` retries an append that failed to become durable.
 /// Each retry re-rolls the deterministic fault plan on a fresh attempt,
@@ -69,15 +69,7 @@ pub fn run_append(args: &[String], out: &mut dyn Write) -> CliResult {
             ))
         }
     };
-    let json = match opt_value(&argv, "--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(CliError::new(format!(
-                "append: unknown --format `{other}` (expected human or json)"
-            )))
-        }
-    };
+    let json = json_format(&argv)?;
     let dir = wal_dir(&argv, "append")?;
     let mut store = open_store(&dir, "append")?;
     match store.append(project, seq, date, &sql) {

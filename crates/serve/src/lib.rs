@@ -9,17 +9,17 @@
 //!
 //! ## Routes
 //!
-//! | route | payload |
-//! |-------|---------|
-//! | `GET /health` | liveness, uptime, per-route request counters |
-//! | `GET /corpus/{seed}/projects[?pattern=p]` | per-project summaries of the seed's corpus |
-//! | `GET /project/{id}/history[?seed=s]` | monthly schema/source heartbeats |
-//! | `GET /project/{id}/pattern[?seed=s]` | classification + the Table-1 label tuple |
-//! | `GET /project/{id}/diagnostics[?seed=s]` | the static analyzer's findings (`schemachron lint` JSON shape) |
-//! | `GET /experiments/{id}` | a paper table/figure as JSON (matches `goldens/experiments/`) |
-//! | `GET /chart/{id}.svg[?seed=s&w=&h=]` | the cumulative evolution chart as SVG |
-//! | `POST /project/{id}/commit` | append one commit to the project's WAL (idempotent via `seq`) |
-//! | `GET /changes[?since=c&max=n&wait_ms=t&format=sse]` | the cursored change feed, long-poll or SSE |
+//! The route table (`ROUTES` in [`router`]) is the one declaration of every route: its method,
+//! path pattern, query syntax, breaker and counter key, and handler.
+//! Dispatch, the `405`/`Allow` rule, the per-route breakers, the `/health`
+//! request counters and the `GET /` listing all read it, so `GET /` on a
+//! running server is the authoritative route list.
+//!
+//! The five history queries (`/project/{id}/schema`, `diff`, `plan`,
+//! `provenance/{table}` and `safety`) go through [`query`]: one typed
+//! parse, one `execute` and one error table shared with the
+//! `schemachron asof|plan|safety` commands, so both surfaces answer the
+//! same query with the same bytes.
 //!
 //! ## Architecture
 //!
@@ -57,8 +57,9 @@
 pub mod breaker;
 pub mod http;
 pub mod pool;
+pub mod query;
 pub mod router;
 pub mod server;
 
-pub use router::{route_key, AppState, GuardConfig};
+pub use router::{AppState, GuardConfig};
 pub use server::{Server, ServerConfig, ShutdownHandle};

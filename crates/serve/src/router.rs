@@ -8,19 +8,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use schemachron_asof::{index_for, render as asof_render, AsOfArtifact, DEFAULT_K_MONTHS};
 use schemachron_bench::context::ExpContext;
 use schemachron_bench::experiments::{run_experiment, EXPERIMENT_IDS};
 use schemachron_chart::svg::SvgChart;
 use schemachron_core::{classify, classify_nearest, Pattern};
 use schemachron_corpus::CorpusProject;
 use schemachron_fault as fault;
-use schemachron_history::MonthId;
 use schemachron_stream::{render as stream_render, Append, StreamError, StreamStore, FEED_CAPACITY};
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 
 use crate::breaker::{Breaker, Gate};
 use crate::http::{Request, Response};
+use crate::query::{self, Query};
 
 /// Locks a state mutex, ignoring poisoning: every critical section below
 /// moves plain data, so a panic mid-section cannot corrupt the map.
@@ -28,25 +27,123 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Per-route hit counters, exported on `/health`. Everything is relaxed
-/// atomics — the counters are observability, not accounting.
+/// What a matched route runs, given the `{…}` captures of its pattern.
+type Handler = fn(&AppState, &[&str], &Request) -> Response;
+
+/// One row of the route table.
+struct Route {
+    /// The one method the route accepts.
+    method: &'static str,
+    /// The path pattern; a segment that starts with `{` matches any one
+    /// path segment (the chart route checks its `.svg` suffix itself).
+    pattern: &'static str,
+    /// The query-string syntax `GET /` lists after the pattern.
+    params: &'static str,
+    /// The route's circuit-breaker key and `/health` request counter.
+    key: &'static str,
+    handler: Handler,
+}
+
+const fn route(
+    method: &'static str,
+    pattern: &'static str,
+    params: &'static str,
+    key: &'static str,
+    handler: Handler,
+) -> Route {
+    Route { method, pattern, params, key, handler }
+}
+
+/// Every route, declared once. Dispatch, the `405`/`Allow` rule, the
+/// breaker keys, the `/health` request counters and the `GET /` listing
+/// all read this table; the first matching pattern wins.
+static ROUTES: [Route; 15] = [
+    route("GET", "/", "", "index", |_, _, _| index()),
+    route("GET", "/health", "", "health", |s, _, _| s.health()),
+    route("GET", "/corpus/{seed}/projects", "[?pattern=name]", "corpus_projects", |s, c, r| {
+        s.corpus_projects(c[0], r)
+    }),
+    route("GET", "/project/{id}/history", "[?seed=s]", "project_history", |s, c, r| {
+        s.with_project(c[0], r, |p, _| project_history(p))
+    }),
+    route("GET", "/project/{id}/pattern", "[?seed=s]", "project_pattern", |s, c, r| {
+        s.with_project(c[0], r, |p, _| project_pattern(p))
+    }),
+    route("GET", "/project/{id}/diagnostics", "[?seed=s]", "project_diagnostics", |s, c, r| {
+        s.with_project(c[0], r, |p, seed| {
+            Response::json(200, &schemachron_lint::lint_project(&p.card, seed).to_json())
+        })
+    }),
+    route(
+        "GET",
+        "/project/{id}/schema",
+        "?asof=YYYY-MM[&seed=s&k=months]",
+        "project_schema",
+        |s, c, r| s.answer("schema", c, r),
+    ),
+    route(
+        "GET",
+        "/project/{id}/diff",
+        "?from=YYYY-MM&to=YYYY-MM[&seed=s&k=months]",
+        "project_diff",
+        |s, c, r| s.answer("diff", c, r),
+    ),
+    route(
+        "GET",
+        "/project/{id}/plan",
+        "?from=YYYY-MM&to=YYYY-MM&dialect=pg|mysql|sqlite[&rebuild=no&seed=s&k=months]",
+        "project_plan",
+        |s, c, r| s.answer("plan", c, r),
+    ),
+    route(
+        "GET",
+        "/project/{id}/provenance/{table}",
+        "[.{column}][?seed=s&k=months]",
+        "project_provenance",
+        |s, c, r| s.answer("provenance", c, r),
+    ),
+    route("GET", "/project/{id}/safety", "[?seed=s]", "project_safety", |s, c, r| {
+        s.answer("safety", c, r)
+    }),
+    route("GET", "/experiments/{id}", "", "experiments", |s, c, _| s.experiment(c[0])),
+    route("GET", "/chart/{id}.svg", "[?seed=s&w=px&h=px]", "chart", |s, c, r| s.chart(c[0], r)),
+    route(
+        "POST",
+        "/project/{id}/commit",
+        "  {\"seq\": n, \"date\": \"YYYY-MM-DD\", \"sql\": \"...\"}",
+        "project_commit",
+        |s, c, r| s.project_commit(c[0], r),
+    ),
+    route("GET", "/changes", "[?since=cursor&max=n&wait_ms=t&format=sse]", "changes", |s, _, r| {
+        s.changes(r)
+    }),
+];
+
+/// The row of the first route whose pattern matches `path`, with the path
+/// segments its `{…}` segments captured.
+fn resolve(path: &str) -> Option<(usize, Vec<&str>)> {
+    ROUTES.iter().enumerate().find_map(|(row, route)| {
+        let mut segments = path.split('/').filter(|s| !s.is_empty());
+        let mut captures = Vec::new();
+        for want in route.pattern.split('/').filter(|s| !s.is_empty()) {
+            let got = segments.next()?;
+            if want.starts_with('{') {
+                captures.push(got);
+            } else if want != got {
+                return None;
+            }
+        }
+        segments.next().is_none().then_some((row, captures))
+    })
+}
+
+/// Request counters, exported on `/health`: one per route-table row, plus
+/// the requests no route took. Relaxed atomics: the counters are
+/// observability, not accounting.
 #[derive(Debug, Default)]
-pub struct Counters {
+struct Counters {
     total: AtomicU64,
-    health: AtomicU64,
-    corpus_projects: AtomicU64,
-    project_history: AtomicU64,
-    project_pattern: AtomicU64,
-    project_diagnostics: AtomicU64,
-    project_schema: AtomicU64,
-    project_diff: AtomicU64,
-    project_plan: AtomicU64,
-    project_provenance: AtomicU64,
-    project_safety: AtomicU64,
-    project_commit: AtomicU64,
-    changes: AtomicU64,
-    experiments: AtomicU64,
-    chart: AtomicU64,
+    routes: [AtomicU64; ROUTES.len()],
     other: AtomicU64,
     shed: AtomicU64,
     deadline_timeouts: AtomicU64,
@@ -54,27 +151,16 @@ pub struct Counters {
 
 impl Counters {
     fn snapshot(&self) -> Value {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        json!({
-            "total": (get(&self.total)),
-            "health": (get(&self.health)),
-            "corpus_projects": (get(&self.corpus_projects)),
-            "project_history": (get(&self.project_history)),
-            "project_pattern": (get(&self.project_pattern)),
-            "project_diagnostics": (get(&self.project_diagnostics)),
-            "project_schema": (get(&self.project_schema)),
-            "project_diff": (get(&self.project_diff)),
-            "project_plan": (get(&self.project_plan)),
-            "project_provenance": (get(&self.project_provenance)),
-            "project_safety": (get(&self.project_safety)),
-            "project_commit": (get(&self.project_commit)),
-            "changes": (get(&self.changes)),
-            "experiments": (get(&self.experiments)),
-            "chart": (get(&self.chart)),
-            "other": (get(&self.other)),
-            "shed": (get(&self.shed)),
-            "deadline_timeouts": (get(&self.deadline_timeouts)),
-        })
+        let get = |c: &AtomicU64| Value::from(c.load(Ordering::Relaxed));
+        let mut map = Map::new();
+        map.insert("total".to_owned(), get(&self.total));
+        for (route, count) in ROUTES.iter().zip(&self.routes) {
+            map.insert(route.key.to_owned(), get(count));
+        }
+        map.insert("other".to_owned(), get(&self.other));
+        map.insert("shed".to_owned(), get(&self.shed));
+        map.insert("deadline_timeouts".to_owned(), get(&self.deadline_timeouts));
+        Value::Object(map)
     }
 }
 
@@ -96,51 +182,6 @@ impl Default for GuardConfig {
             deadline: Duration::from_secs(10),
             breaker_cooldown: Duration::from_secs(2),
         }
-    }
-}
-
-/// The stable route class of a request path — the unit at which breakers
-/// trip and degraded answers are cached. Mirrors the dispatch in
-/// [`AppState::handle`].
-pub fn route_key(path: &str) -> &'static str {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        [] => "index",
-        ["health"] => "health",
-        ["corpus", _, "projects"] => "corpus_projects",
-        ["project", _, "history"] => "project_history",
-        ["project", _, "pattern"] => "project_pattern",
-        ["project", _, "diagnostics"] => "project_diagnostics",
-        ["project", _, "schema"] => "project_schema",
-        ["project", _, "diff"] => "project_diff",
-        ["project", _, "plan"] => "project_plan",
-        ["project", _, "provenance", _] => "project_provenance",
-        ["project", _, "safety"] => "project_safety",
-        ["project", _, "commit"] => "project_commit",
-        ["changes"] => "changes",
-        ["experiments", _] => "experiments",
-        ["chart", _] => "chart",
-        _ => "other",
-    }
-}
-
-/// The methods a resolved route accepts, or `None` when the path matches
-/// no route at all. Dispatch resolves the route *first*: a known path with
-/// the wrong method answers `405` with this value in `Allow`, while an
-/// unknown path stays `404` for every method.
-fn route_allow(path: &str) -> Option<&'static str> {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        ["project", _, "commit"] => Some("POST"),
-        []
-        | ["health"]
-        | ["changes"]
-        | ["corpus", _, "projects"]
-        | ["project", _, "history" | "pattern" | "diagnostics" | "schema" | "diff" | "plan" | "safety"]
-        | ["project", _, "provenance", _]
-        | ["experiments", _]
-        | ["chart", _] => Some("GET"),
-        _ => None,
     }
 }
 
@@ -211,11 +252,6 @@ impl AppState {
         }
     }
 
-    /// Where this state's streaming WALs live.
-    pub fn stream_root(&self) -> &std::path::Path {
-        &self.stream_root
-    }
-
     /// Runs `f` over the streaming store, opening (and replaying) it on
     /// first use; an unopenable store answers `500`.
     fn with_stream_store<R>(
@@ -223,29 +259,16 @@ impl AppState {
         f: impl FnOnce(&mut StreamStore) -> R,
     ) -> Result<R, Response> {
         let mut guard = lock(&self.stream);
-        if guard.is_none() {
-            match StreamStore::open(&self.stream_root) {
-                Ok(store) => *guard = Some(store),
-                Err(e) => {
-                    return Err(Response::json(
-                        500,
-                        &json!({
-                            "error": "stream store unavailable",
-                            "detail": (e.to_string()),
-                        }),
-                    ))
-                }
-            }
-        }
-        match guard.as_mut() {
-            Some(store) => Ok(f(store)),
-            None => unreachable!("opened above"),
-        }
-    }
-
-    /// The guard parameters this state was built with.
-    pub fn guard_config(&self) -> GuardConfig {
-        self.guard
+        let store = match guard.take() {
+            Some(store) => store,
+            None => StreamStore::open(&self.stream_root).map_err(|e| {
+                Response::json(
+                    500,
+                    &json!({"error": "stream store unavailable", "detail": (e.to_string())}),
+                )
+            })?,
+        };
+        Ok(f(guard.insert(store)))
     }
 
     /// The memoized context for a seed; the underlying corpus comes from
@@ -269,124 +292,35 @@ impl AppState {
         self.counters.total.load(Ordering::Relaxed)
     }
 
-    /// Dispatches one parsed request to its route handler. Routing happens
-    /// before the method check: a known path with the wrong method answers
-    /// `405` with that route's `Allow` header, an unknown path answers
-    /// `404` for every method.
+    /// Dispatches one parsed request through the route table. Routing
+    /// happens before the method check: a known path with the wrong method
+    /// answers `405` with that route's `Allow` header, an unknown path
+    /// answers `404` for every method.
     pub fn handle(&self, req: &Request) -> Response {
         self.counters.total.fetch_add(1, Ordering::Relaxed);
-        match route_allow(&req.path) {
-            None => {
-                self.counters.other.fetch_add(1, Ordering::Relaxed);
-                return Response::json(
-                    404,
-                    &json!({"error": "no such route", "path": (req.path.as_str()), "index": "/"}),
-                );
-            }
-            Some(allow) if req.method != allow => {
-                self.counters.other.fetch_add(1, Ordering::Relaxed);
-                return Response::json(
-                    405,
-                    &json!({
-                        "error": "method not allowed",
-                        "method": (req.method.as_str()),
-                        "path": (req.path.as_str()),
-                        "allow": (allow),
-                    }),
-                )
-                .with_header("Allow", allow);
-            }
-            Some(_) => {}
+        let Some((row, captures)) = resolve(&req.path) else {
+            self.counters.other.fetch_add(1, Ordering::Relaxed);
+            return Response::json(
+                404,
+                &json!({"error": "no such route", "path": (req.path.as_str()), "index": "/"}),
+            );
+        };
+        let route = &ROUTES[row];
+        if req.method != route.method {
+            self.counters.other.fetch_add(1, Ordering::Relaxed);
+            return Response::json(
+                405,
+                &json!({
+                    "error": "method not allowed",
+                    "method": (req.method.as_str()),
+                    "path": (req.path.as_str()),
+                    "allow": (route.method),
+                }),
+            )
+            .with_header("Allow", route.method);
         }
-        let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-        match segments.as_slice() {
-            [] => {
-                self.counters.other.fetch_add(1, Ordering::Relaxed);
-                index()
-            }
-            ["health"] => {
-                self.counters.health.fetch_add(1, Ordering::Relaxed);
-                self.health()
-            }
-            ["corpus", seed, "projects"] => {
-                self.counters.corpus_projects.fetch_add(1, Ordering::Relaxed);
-                self.corpus_projects(seed, req)
-            }
-            ["project", id, "history"] => {
-                self.counters.project_history.fetch_add(1, Ordering::Relaxed);
-                self.with_project(id, req, |p, _| project_history(p))
-            }
-            ["project", id, "pattern"] => {
-                self.counters.project_pattern.fetch_add(1, Ordering::Relaxed);
-                self.with_project(id, req, |p, _| project_pattern(p))
-            }
-            ["project", id, "diagnostics"] => {
-                self.counters
-                    .project_diagnostics
-                    .fetch_add(1, Ordering::Relaxed);
-                let default_seed = self.default_seed;
-                self.with_project(id, req, move |p, req| {
-                    project_diagnostics(p, req, default_seed)
-                })
-            }
-            ["project", id, "schema"] => {
-                self.counters.project_schema.fetch_add(1, Ordering::Relaxed);
-                let default_seed = self.default_seed;
-                self.with_project(id, req, move |p, req| {
-                    project_schema(p, req, default_seed)
-                })
-            }
-            ["project", id, "diff"] => {
-                self.counters.project_diff.fetch_add(1, Ordering::Relaxed);
-                let default_seed = self.default_seed;
-                self.with_project(id, req, move |p, req| project_diff(p, req, default_seed))
-            }
-            ["project", id, "plan"] => {
-                self.counters.project_plan.fetch_add(1, Ordering::Relaxed);
-                let default_seed = self.default_seed;
-                self.with_project(id, req, move |p, req| project_plan(p, req, default_seed))
-            }
-            ["project", id, "provenance", subject] => {
-                self.counters
-                    .project_provenance
-                    .fetch_add(1, Ordering::Relaxed);
-                let default_seed = self.default_seed;
-                let subject = (*subject).to_owned();
-                self.with_project(id, req, move |p, req| {
-                    project_provenance(p, req, &subject, default_seed)
-                })
-            }
-            ["project", id, "safety"] => {
-                self.counters.project_safety.fetch_add(1, Ordering::Relaxed);
-                let default_seed = self.default_seed;
-                self.with_project(id, req, move |p, req| {
-                    project_safety(p, req, default_seed)
-                })
-            }
-            ["project", id, "commit"] => {
-                self.counters.project_commit.fetch_add(1, Ordering::Relaxed);
-                self.project_commit(id, req)
-            }
-            ["changes"] => {
-                self.counters.changes.fetch_add(1, Ordering::Relaxed);
-                self.changes(req)
-            }
-            ["experiments", id] => {
-                self.counters.experiments.fetch_add(1, Ordering::Relaxed);
-                self.experiment(id)
-            }
-            ["chart", file] => {
-                self.counters.chart.fetch_add(1, Ordering::Relaxed);
-                self.chart(file, req)
-            }
-            _ => {
-                self.counters.other.fetch_add(1, Ordering::Relaxed);
-                Response::json(
-                    404,
-                    &json!({"error": "no such route", "path": (req.path.as_str()), "index": "/"}),
-                )
-            }
-        }
+        self.counters.routes[row].fetch_add(1, Ordering::Relaxed);
+        (route.handler)(self, &captures, req)
     }
 
     /// [`AppState::handle`] behind the request guard: a per-route circuit
@@ -404,7 +338,7 @@ impl AppState {
     /// answerable while everything else is on fire, and the chaos fault
     /// plans never reach it.
     pub fn handle_guarded(self: &Arc<Self>, req: &Request) -> Response {
-        let route = route_key(&req.path);
+        let route = resolve(&req.path).map_or("other", |(row, _)| ROUTES[row].key);
         if route == "health" {
             return self.handle(req);
         }
@@ -533,11 +467,9 @@ impl AppState {
     }
 
     fn corpus_projects(&self, seed: &str, req: &Request) -> Response {
-        let Ok(seed) = seed.parse::<u64>() else {
-            return Response::json(
-                400,
-                &json!({"error": "seed must be an unsigned integer", "got": seed}),
-            );
+        let seed = match query::seed_param(Some(seed), "seed", self.default_seed) {
+            Ok(seed) => seed,
+            Err(e) => return e.response(),
         };
         let filter = match req.query_param("pattern") {
             None => None,
@@ -577,37 +509,31 @@ impl AppState {
     }
 
     /// Looks up `id` in the request's corpus (`?seed=`, else the default)
-    /// and applies `render`; `404` with the seed echoed when absent.
+    /// and applies `render` to it and the seed; `404` with the seed echoed
+    /// when absent.
     fn with_project(
         &self,
         id: &str,
         req: &Request,
-        render: impl Fn(&CorpusProject, &Request) -> Response,
+        render: impl FnOnce(&CorpusProject, u64) -> Response,
     ) -> Response {
-        let seed = match req.query_param("seed") {
-            None => self.default_seed,
-            Some(s) => match s.parse::<u64>() {
-                Ok(v) => v,
-                Err(_) => {
-                    return Response::json(
-                        400,
-                        &json!({"error": "seed must be an unsigned integer", "got": s}),
-                    )
-                }
-            },
-        };
-        let ctx = self.context(seed);
-        match ctx.corpus.projects().iter().find(|p| p.card.name == id) {
-            Some(p) => render(p, req),
-            None => Response::json(
-                404,
-                &json!({
-                    "error": "no such project",
-                    "id": id,
-                    "seed": seed,
-                    "hint": (format!("GET /corpus/{seed}/projects lists valid ids")),
-                }),
-            ),
+        let found = query::seed_param(req.query_param("seed"), "seed", self.default_seed)
+            .and_then(|seed| {
+                let ctx = self.context(seed);
+                query::find_project(&ctx.corpus, id, seed).map(|p| render(p, seed))
+            });
+        found.unwrap_or_else(|e| e.response())
+    }
+
+    /// The five query routes (schema, diff, plan, provenance, safety): the
+    /// shared [`Query`] parse and [`query::execute`], whose answers are the
+    /// CLI's `--format json` output byte for byte.
+    fn answer(&self, route: &str, captures: &[&str], req: &Request) -> Response {
+        let answer = Query::from_request(route, captures, req, self.default_seed)
+            .and_then(|q| query::execute(&self.context(q.seed).corpus, &q));
+        match answer {
+            Ok(answer) => Response::json(200, &answer.to_json()),
+            Err(e) => e.response(),
         }
     }
 
@@ -680,41 +606,17 @@ impl AppState {
     /// request deadline) until an event arrives; a subscriber that fell
     /// out of the bounded retention window gets a `lagged` marker.
     fn changes(&self, req: &Request) -> Response {
-        let since = match (req.query_param("since"), req.header("last-event-id")) {
-            (Some(raw), _) | (None, Some(raw)) => match raw.parse::<u64>() {
-                Ok(v) => v,
-                Err(_) => {
-                    return Response::json(
-                        400,
-                        &json!({"error": "cursor must be an unsigned integer", "got": (raw)}),
-                    )
-                }
-            },
-            (None, None) => 0,
-        };
-        let max = match req.query_param("max") {
-            None => 64,
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(v) if v >= 1 => v.min(FEED_CAPACITY),
-                _ => {
-                    return Response::json(
-                        400,
-                        &json!({"error": "max must be a positive count", "got": (raw)}),
-                    )
-                }
-            },
-        };
-        let wait = match req.query_param("wait_ms") {
-            None => Duration::ZERO,
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(ms) => Duration::from_millis(ms),
-                Err(_) => {
-                    return Response::json(
-                        400,
-                        &json!({"error": "wait_ms must be milliseconds", "got": (raw)}),
-                    )
-                }
-            },
+        let cursor = req.query_param("since").or(req.header("last-event-id"));
+        let parsed = (
+            number(cursor, 0, |_| true, "cursor must be an unsigned integer"),
+            number(req.query_param("max"), 64, |m| *m >= 1, "max must be a positive count"),
+            number(req.query_param("wait_ms"), 0, |_| true, "wait_ms must be milliseconds"),
+        );
+        let (since, max, wait) = match parsed {
+            (Ok(since), Ok(max), Ok(ms)) => {
+                (since, max.min(FEED_CAPACITY), Duration::from_millis(ms))
+            }
+            (Err(resp), _, _) | (_, Err(resp), _) | (_, _, Err(resp)) => return resp,
         };
         // The long-poll must answer before the request guard would turn
         // it into a 504.
@@ -775,30 +677,27 @@ impl AppState {
     }
 }
 
-/// `GET /` — a machine-readable route index.
+/// An optional numeric query parameter: `default` when absent, else a
+/// `400` echoing the value unless it parses and passes `valid`.
+fn number<T: std::str::FromStr>(
+    raw: Option<&str>,
+    default: T,
+    valid: fn(&T) -> bool,
+    error: &str,
+) -> Result<T, Response> {
+    let Some(raw) = raw else { return Ok(default) };
+    let bad = || Response::json(400, &json!({"error": error, "got": raw}));
+    raw.parse().ok().filter(valid).ok_or_else(bad)
+}
+
+/// `GET /` — a machine-readable route index: every row of [`ROUTES`] but
+/// the index itself (row 0).
 fn index() -> Response {
-    Response::json(
-        200,
-        &json!({
-            "service": "schemachron-serve",
-            "routes": [
-                "GET /health",
-                "GET /corpus/{seed}/projects[?pattern=name]",
-                "GET /project/{id}/history[?seed=s]",
-                "GET /project/{id}/pattern[?seed=s]",
-                "GET /project/{id}/diagnostics[?seed=s]",
-                "GET /project/{id}/schema?asof=YYYY-MM[&seed=s&k=months]",
-                "GET /project/{id}/diff?from=YYYY-MM&to=YYYY-MM[&seed=s&k=months]",
-                "GET /project/{id}/plan?from=YYYY-MM&to=YYYY-MM&dialect=pg|mysql|sqlite[&rebuild=no&seed=s&k=months]",
-                "GET /project/{id}/provenance/{table}[.{column}][?seed=s&k=months]",
-                "GET /project/{id}/safety[?seed=s]",
-                "GET /experiments/{id}",
-                "GET /chart/{id}.svg[?seed=s&w=px&h=px]",
-                "POST /project/{id}/commit  {\"seq\": n, \"date\": \"YYYY-MM-DD\", \"sql\": \"...\"}",
-                "GET /changes[?since=cursor&max=n&wait_ms=t&format=sse]",
-            ],
-        }),
-    )
+    let routes: Vec<String> = ROUTES[1..]
+        .iter()
+        .map(|r| format!("{} {}{}", r.method, r.pattern, r.params))
+        .collect();
+    Response::json(200, &json!({"service": "schemachron-serve", "routes": routes}))
 }
 
 /// `GET /project/{id}/history` — the monthly heartbeats.
@@ -850,238 +749,6 @@ fn project_pattern(p: &CorpusProject) -> Response {
             "metrics": (serde_json::to_value(&p.metrics).unwrap_or(Value::Null)),
         }),
     )
-}
-
-/// Re-resolves the seed `with_project` already validated (malformed
-/// `?seed=` was rejected with a 400 before any of these handlers run).
-fn resolved_seed(req: &Request, default_seed: u64) -> u64 {
-    req.query_param("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_seed)
-}
-
-/// Parses a required `?{key}=YYYY-MM` month through the checked
-/// [`MonthId`] path: missing or malformed values answer `400` with a hint
-/// (out-of-range months like `2009-13` never wrap around silently).
-fn month_param(req: &Request, key: &str) -> Result<MonthId, Response> {
-    let Some(raw) = req.query_param(key) else {
-        return Err(Response::json(
-            400,
-            &json!({
-                "error": (format!("missing `{key}` month parameter")),
-                "hint": (format!("pass ?{key}=YYYY-MM, e.g. ?{key}=2009-03")),
-            }),
-        ));
-    };
-    raw.parse::<MonthId>().map_err(|e| {
-        Response::json(
-            400,
-            &json!({
-                "error": (e.to_string()),
-                "got": raw,
-                "hint": (format!("`{key}` takes a YYYY-MM month with month 01..=12")),
-            }),
-        )
-    })
-}
-
-/// The cached as-of index for a project at the request's `?k=` checkpoint
-/// spacing (default 12 months); malformed `?k=` answers `400`.
-fn project_index(
-    p: &CorpusProject,
-    req: &Request,
-    default_seed: u64,
-) -> Result<Arc<AsOfArtifact>, Response> {
-    let k = match req.query_param("k") {
-        None => DEFAULT_K_MONTHS,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(k) if k >= 1 => k,
-            _ => {
-                return Err(Response::json(
-                    400,
-                    &json!({
-                        "error": "k must be a positive month count",
-                        "got": raw,
-                    }),
-                ))
-            }
-        },
-    };
-    index_for(p, resolved_seed(req, default_seed), k).ok_or_else(|| {
-        Response::json(
-            404,
-            &json!({
-                "error": "project retains no schema versions to index",
-                "id": (p.card.name.as_str()),
-            }),
-        )
-    })
-}
-
-/// `422` for a parseable month outside the project's observed lifespan.
-fn out_of_lifespan(index: &AsOfArtifact, key: &str, m: MonthId) -> Response {
-    Response::json(
-        422,
-        &json!({
-            "error": (format!(
-                "`{key}` month {m} is outside the project's observed lifespan"
-            )),
-            "lifespan": {
-                "start": (index.start().to_string()),
-                "last": (index.last_month().to_string()),
-                "months": (index.months()),
-            },
-        }),
-    )
-}
-
-/// `GET /project/{id}/schema?asof=YYYY-MM` — the full logical schema as of
-/// an arbitrary month, answered from the checkpointed as-of index.
-fn project_schema(p: &CorpusProject, req: &Request, default_seed: u64) -> Response {
-    let index = match project_index(p, req, default_seed) {
-        Ok(index) => index,
-        Err(resp) => return resp,
-    };
-    let m = match month_param(req, "asof") {
-        Ok(m) => m,
-        Err(resp) => return resp,
-    };
-    match index.schema_as_of(m) {
-        Some(schema) => Response::json(200, &asof_render::schema_json(&index, m, &schema)),
-        None => out_of_lifespan(&index, "asof", m),
-    }
-}
-
-/// `GET /project/{id}/diff?from=YYYY-MM&to=YYYY-MM` — the point-in-time
-/// diff between the schemas of two months.
-fn project_diff(p: &CorpusProject, req: &Request, default_seed: u64) -> Response {
-    let index = match project_index(p, req, default_seed) {
-        Ok(index) => index,
-        Err(resp) => return resp,
-    };
-    let (from, to) = match (month_param(req, "from"), month_param(req, "to")) {
-        (Ok(from), Ok(to)) => (from, to),
-        (Err(resp), _) | (_, Err(resp)) => return resp,
-    };
-    for (key, m) in [("from", from), ("to", to)] {
-        if !index.in_lifespan(m) {
-            return out_of_lifespan(&index, key, m);
-        }
-    }
-    match index.diff_between(from, to) {
-        Some(d) => Response::json(200, &asof_render::diff_json(&index, from, to, &d)),
-        None => out_of_lifespan(&index, "from", from),
-    }
-}
-
-/// `GET /project/{id}/plan?from=YYYY-MM&to=YYYY-MM&dialect=pg|mysql|sqlite`
-/// — the forward migration script that turns the `from` schema into the
-/// `to` schema, rendered for one SQL dialect. `&rebuild=no` disables the
-/// drop-and-recreate fallback; an op the dialect cannot express then
-/// answers `422` with the offending op echoed. The 200 body is shared with
-/// `schemachron plan --format json`, so CLI goldens and `curl` answers for
-/// the same query are byte-identical.
-fn project_plan(p: &CorpusProject, req: &Request, default_seed: u64) -> Response {
-    let index = match project_index(p, req, default_seed) {
-        Ok(index) => index,
-        Err(resp) => return resp,
-    };
-    let dialect = match req.query_param("dialect") {
-        Some(kw) => match schemachron_dialect::dialect_named(kw) {
-            Some(d) => d,
-            None => {
-                return Response::json(
-                    400,
-                    &json!({
-                        "error": (format!("unknown dialect `{kw}`")),
-                        "expected": (schemachron_dialect::DIALECT_KEYWORDS.to_vec()),
-                    }),
-                )
-            }
-        },
-        None => {
-            return Response::json(
-                400,
-                &json!({
-                    "error": "missing `dialect` parameter",
-                    "expected": (schemachron_dialect::DIALECT_KEYWORDS.to_vec()),
-                }),
-            )
-        }
-    };
-    let (from, to) = match (month_param(req, "from"), month_param(req, "to")) {
-        (Ok(from), Ok(to)) => (from, to),
-        (Err(resp), _) | (_, Err(resp)) => return resp,
-    };
-    let (from_schema, to_schema) = match (index.schema_as_of(from), index.schema_as_of(to)) {
-        (Some(f), Some(t)) => (f, t),
-        (None, _) => return out_of_lifespan(&index, "from", from),
-        (_, None) => return out_of_lifespan(&index, "to", to),
-    };
-    let opts = schemachron_dialect::PlanOptions {
-        allow_rebuild: req.query_param("rebuild") != Some("no"),
-    };
-    match schemachron_dialect::plan(&from_schema, &to_schema, dialect, &opts) {
-        Ok(plan) => {
-            let request = asof_render::plan_request(&index, from, to);
-            Response::json(
-                200,
-                &schemachron_dialect::report::plan_json(&request, &plan),
-            )
-        }
-        Err(e) => Response::json(422, &schemachron_dialect::report::plan_error_json(&e)),
-    }
-}
-
-/// `GET /project/{id}/provenance/{table}[.{column}]` — which version
-/// introduced (and, for dead subjects, ejected) a table or column.
-fn project_provenance(
-    p: &CorpusProject,
-    req: &Request,
-    subject: &str,
-    default_seed: u64,
-) -> Response {
-    let index = match project_index(p, req, default_seed) {
-        Ok(index) => index,
-        Err(resp) => return resp,
-    };
-    let (table, column) = match subject.split_once('.') {
-        Some((t, c)) => (t, Some(c)),
-        None => (subject, None),
-    };
-    match index.provenance(table, column) {
-        Some(prov) => Response::json(200, &asof_render::provenance_json(&index, &prov)),
-        None => Response::json(
-            404,
-            &json!({
-                "error": "no version ever defined this subject",
-                "subject": subject,
-                "hint": "provenance targets are {table} or {table}.{column}",
-            }),
-        ),
-    }
-}
-
-/// `GET /project/{id}/safety` — the static safety analysis of the whole
-/// history: every migration op classified on the lossless < recoverable <
-/// lossy lattice with its synthesized inverse, plus the column-lineage
-/// summary. The body is shared with `schemachron safety --format json`
-/// (one renderer, one memoized artifact), so CLI goldens and `curl`
-/// answers for the same project are byte-identical.
-fn project_safety(p: &CorpusProject, req: &Request, default_seed: u64) -> Response {
-    let artifact = schemachron_safety::safety_for(&p.card, resolved_seed(req, default_seed));
-    Response::json(
-        200,
-        &schemachron_safety::render::safety_json(&artifact.analysis),
-    )
-}
-
-/// `GET /project/{id}/diagnostics` — the static analyzer's findings for
-/// this project, in the exact JSON shape `schemachron lint --format json`
-/// emits per project (the renderer is shared).
-fn project_diagnostics(p: &CorpusProject, req: &Request, default_seed: u64) -> Response {
-    let report = schemachron_lint::lint_project(&p.card, resolved_seed(req, default_seed));
-    Response::json(200, &report.to_json())
 }
 
 #[cfg(test)]
@@ -1317,6 +984,21 @@ mod tests {
             "{body}"
         );
         assert_eq!(body["reason"].as_str(), Some("sqlite has no ALTER COLUMN"));
+    }
+
+    #[test]
+    fn route_table_drives_the_index_and_the_counters() {
+        let state = AppState::new(42);
+        let index = body_json(&state.handle(&get("/")));
+        assert_eq!(index["routes"].as_array().map(Vec::len), Some(ROUTES.len() - 1));
+        assert_eq!(index["routes"][0].as_str(), Some("GET /health"));
+        let requests = &body_json(&state.handle(&get("/health")))["requests"];
+        for key in ROUTES.iter().map(|r| r.key).chain(["total", "other", "shed"]) {
+            assert!(requests[key].as_u64().is_some(), "{key}");
+        }
+        assert_eq!(requests["index"].as_u64(), Some(1));
+        assert_eq!(requests["health"].as_u64(), Some(1));
+        assert_eq!(requests["deadline_timeouts"].as_u64(), Some(0));
     }
 
     #[test]

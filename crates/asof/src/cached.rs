@@ -1,42 +1,28 @@
 //! Checkpoint artifacts in the pipeline's content-hash stage cache.
 //!
-//! A built [`AsOfIndex`] (snapshot checkpoints + delta log) is published as
-//! **one** artifact per `(project, K)` in the process-wide lock-striped
-//! `PipelineCache`, under its own stage namespace [`CHECKPOINT_STAGE`]. The
-//! key chains from the project's *history-stage* key (chain link 5 of the
-//! ingestion pipeline), so the PR-3 invalidation discipline extends for
-//! free: editing a card re-fingerprints its history artifact, which
-//! re-fingerprints every as-of index built on it. The lint `H005` audit
-//! restates this derivation independently and flags any resident index
-//! whose key it cannot reproduce.
-//!
-//! Builds are quarantined exactly like pipeline stages: a build that
-//! panics (e.g. via the `asof::checkpoint` fault site) never publishes a
-//! cache entry — the panic propagates after bumping the namespace's
-//! quarantine counter, and the next caller sees a plain retryable miss.
+//! A built [`AsOfIndex`] is published as **one** artifact per `(project, K)`
+//! under the [`CHECKPOINT`] namespace, keyed from the project's
+//! history-stage key, and filled through the pipeline's one get-or-build
+//! path. DESIGN.md "Stage-cache namespaces" lists its key input, fault site
+//! and lint rule.
 
 use std::ops::Deref;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
-use schemachron_corpus::pipeline::{
-    derive_key, history_stage_key, insert_stage_artifact, record_stage_quarantine, stage_artifact,
-    StageKey,
-};
+use schemachron_corpus::pipeline::{get_or_build, history_stage_key, Namespace, StageKey};
 use schemachron_corpus::CorpusProject;
 use schemachron_fault as fault;
 use schemachron_hash::{fnv1a, FNV_OFFSET};
 
 use crate::index::AsOfIndex;
 
-/// The as-of subsystem's stage-cache namespace.
-pub const CHECKPOINT_STAGE: &str = "asof-checkpoint";
-
-/// Logic version of the index layout, mixed into every checkpoint key. Bump
-/// it when [`AsOfIndex`]'s construction changes so stale cached indexes can
-/// never be served.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// The as-of subsystem's stage-cache namespace. Bump the version when
+/// [`AsOfIndex`]'s construction changes.
+pub const CHECKPOINT: Namespace = Namespace {
+    name: "asof-checkpoint",
+    version: 1,
+    fault_site: Some(fault::site::ASOF_CHECKPOINT),
+};
 
 /// A cached as-of index plus the provenance of its own cache key, so the
 /// lint auditor can re-derive the key from first principles. Shared via
@@ -59,14 +45,12 @@ impl Deref for AsOfArtifact {
     }
 }
 
-/// Derives the cache key of a project's as-of index: the stage-chaining
-/// hash of this namespace's identity over the K-salted history key.
-/// Deterministic and content-addressed — any change to the card, the seed,
-/// an upstream stage version or K lands on a different key.
+/// Derives the cache key of a project's as-of index: the [`CHECKPOINT`]
+/// chain link over the K-salted history key. Any change to the card, the
+/// seed, an upstream stage version or K lands on a different key.
 pub fn checkpoint_key(history_key: StageKey, k_months: usize) -> StageKey {
     let salted = fnv1a(FNV_OFFSET, &(k_months as u64).to_le_bytes());
-    let salted = fnv1a(salted, &history_key.to_le_bytes());
-    derive_key(CHECKPOINT_STAGE, CHECKPOINT_VERSION, salted)
+    CHECKPOINT.key(fnv1a(salted, &history_key.to_le_bytes()))
 }
 
 /// The as-of index for a corpus project at checkpoint spacing `k_months`
@@ -76,40 +60,17 @@ pub fn checkpoint_key(history_key: StageKey, k_months: usize) -> StageKey {
 /// # Panics
 /// Propagates a panicking build (including injected `asof::checkpoint`
 /// faults) after recording a quarantine — never after publishing an entry.
-pub fn index_for(
-    project: &CorpusProject,
-    seed: u64,
-    k_months: usize,
-) -> Option<Arc<AsOfArtifact>> {
+pub fn index_for(project: &CorpusProject, seed: u64, k_months: usize) -> Option<Arc<AsOfArtifact>> {
     let k_months = k_months.max(1);
     let history_key = history_stage_key(&project.card, seed);
-    let key = checkpoint_key(history_key, k_months);
-    if let Some(hit) = stage_artifact::<AsOfArtifact>(CHECKPOINT_STAGE, key) {
-        return Some(hit);
-    }
-    let started = Instant::now();
-    let built = catch_unwind(AssertUnwindSafe(|| {
-        fault::checkpoint_point(&format!("{CHECKPOINT_STAGE}:{key:016x}"));
-        AsOfIndex::build(&project.history, k_months)
-    }));
-    match built {
-        Ok(Some(index)) => {
-            let artifact = Arc::new(AsOfArtifact {
-                history_key,
-                k_months,
-                index,
-            });
-            insert_stage_artifact(CHECKPOINT_STAGE, key, artifact.clone(), started.elapsed());
-            Some(artifact)
-        }
-        Ok(None) => None,
-        Err(payload) => {
-            // Quarantine: the key was never published, so the next caller
-            // gets a clean retryable miss instead of a poisoned artifact.
-            record_stage_quarantine(CHECKPOINT_STAGE);
-            resume_unwind(payload)
-        }
-    }
+    get_or_build(&CHECKPOINT, checkpoint_key(history_key, k_months), || {
+        let index = AsOfIndex::build(&project.history, k_months)?;
+        Some(AsOfArtifact {
+            history_key,
+            k_months,
+            index,
+        })
+    })
 }
 
 #[cfg(test)]

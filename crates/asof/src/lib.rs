@@ -19,10 +19,8 @@
 //! The index stores appliable [`VersionDelta`]s plus snapshot
 //! [`Checkpoint`]s every K months; a lookup binary-searches the
 //! checkpoints (O(log n)) and replays at most K−1 months of deltas. Built
-//! indexes are content-hash-keyed artifacts in the pipeline's lock-striped
-//! stage cache ([`index_for`]), chained from the project's history-stage
-//! key so card edits invalidate them transitively, with panicking builds
-//! quarantined exactly like pipeline stages (fault site `asof::checkpoint`).
+//! indexes live in the pipeline's stage cache under the [`CHECKPOINT`]
+//! namespace ([`index_for`]).
 //!
 //! Presentation lives in [`render`]: shared human + JSON renderers keep
 //! the CLI (`schemachron asof`), the HTTP routes
@@ -38,7 +36,7 @@ mod index;
 mod provenance;
 pub mod render;
 
-pub use cached::{checkpoint_key, index_for, AsOfArtifact, CHECKPOINT_STAGE, CHECKPOINT_VERSION};
+pub use cached::{checkpoint_key, index_for, AsOfArtifact, CHECKPOINT};
 pub use delta::VersionDelta;
 pub use index::{AsOfIndex, Checkpoint, DEFAULT_K_MONTHS};
 pub use provenance::{Provenance, ProvenanceEvent};

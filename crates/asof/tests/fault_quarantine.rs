@@ -7,7 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use schemachron_asof::{checkpoint_key, index_for, AsOfArtifact, CHECKPOINT_STAGE};
+use schemachron_asof::{checkpoint_key, index_for, AsOfArtifact, CHECKPOINT};
 use schemachron_corpus::cards::all_cards;
 use schemachron_corpus::pipeline::{
     history_stage_key, peek_stage_artifact, stage_stats_for,
@@ -21,7 +21,7 @@ use schemachron_fault as fault;
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn quarantined_total() -> u64 {
-    stage_stats_for(&[CHECKPOINT_STAGE])[0].quarantined
+    stage_stats_for(&[CHECKPOINT.name])[0].quarantined
 }
 
 #[test]
@@ -58,7 +58,7 @@ fn panicking_checkpoint_build_never_publishes_a_cache_entry() {
         "expected an injected payload, got: {message}"
     );
     assert!(
-        peek_stage_artifact::<AsOfArtifact>(CHECKPOINT_STAGE, key).is_none(),
+        peek_stage_artifact::<AsOfArtifact>(CHECKPOINT.name, key).is_none(),
         "a panicking build must not publish its artifact"
     );
     assert_eq!(
@@ -69,6 +69,6 @@ fn panicking_checkpoint_build_never_publishes_a_cache_entry() {
 
     // With the plan cleared the same build succeeds and publishes.
     let built = index_for(project, seed, 12).expect("fault-free build succeeds");
-    assert!(peek_stage_artifact::<AsOfArtifact>(CHECKPOINT_STAGE, key)
+    assert!(peek_stage_artifact::<AsOfArtifact>(CHECKPOINT.name, key)
         .is_some_and(|cached| std::sync::Arc::ptr_eq(&cached, &built)));
 }

@@ -2,8 +2,8 @@
 //! cache, incremental per-project recompute.
 //!
 //! The study's computation is a fixed chain of substrates; this module
-//! materializes each substrate as a first-class [`Stage`] with a typed
-//! output artifact:
+//! materializes each substrate as a stage — one [`Namespace`] in [`STAGES`]
+//! plus a plain function — with a typed output artifact:
 //!
 //! ```text
 //! CardSpec ──materialize──▶ RawScripts ──parse──▶ ParsedDdl
@@ -18,6 +18,8 @@
 //! generalization of the old seed-keyed `Arc<Corpus>` cache — so editing one
 //! project's card re-runs only that project's downstream stages; every
 //! other project, and every untouched upstream artifact, is a cache hit.
+//! The same cache holds the as-of, safety and stream namespaces, and every
+//! namespace fills it through the one [`get_or_build`] path.
 //!
 //! Chains are walked lazily downstream-first by [`build_project`]: a fully
 //! cached project fetches its terminal artifacts and never touches the
@@ -37,12 +39,12 @@ pub use artifact::{
     ParsedCommit, ParsedDdl, PatternClass, RawScripts,
 };
 pub use stage::{
-    derive_key, shard_count_for, shard_of_key, Stage, StageKey, StageStats, StageTrace, TraceEntry,
+    derive_key, shard_count_for, shard_of_key, Namespace, StageKey, StageStats, StageTrace,
+    TraceEntry,
 };
 pub use stages::{
-    build_project, build_project_traced, chain_keys, classify_project, parse_salt, ClassifyStage,
-    DiffStage, HistoryInput, HistoryStage, LabelsStage, MaterializeStage, MetricsStage, ParseStage,
-    SchemaStage, STAGE_ORDER,
+    build_project, build_project_traced, chain_keys, classify_project, parse_salt, STAGES,
+    STAGE_ORDER,
 };
 
 /// Snapshots the global per-stage counters, in pipeline order. Stages that
@@ -58,15 +60,23 @@ pub fn stage_stats_for(order: &[&'static str]) -> Vec<StageStats> {
     stage::cache().stats_snapshot(order)
 }
 
-/// Fetches a typed artifact from the process-wide stage cache, recording a
-/// global hit when found. External subsystems (e.g. `schemachron-asof`)
-/// that keep their artifacts in this cache under their own stage namespace
-/// go through this; the 8 ingestion stages use their internal chain walk.
-pub fn stage_artifact<T: Send + Sync + 'static>(
-    stage: &'static str,
+/// Returns the artifact cached under `(ns, key)`, or runs `build` under the
+/// namespace's fault site and publishes its `Some` result — the one
+/// get-or-build path every stage-cache namespace fills the cache through.
+/// `None` publishes nothing. The key must be a content hash chained from the
+/// artifact's inputs — the lint cache auditor (`H001`/`H002`/`H005`/`H006`/
+/// `H008`) walks every resident entry and flags any key it cannot
+/// re-derive.
+///
+/// # Panics
+/// Propagates a panicking build (including injected faults) after
+/// recording a quarantine — never after publishing an entry.
+pub fn get_or_build<T: Send + Sync + 'static>(
+    ns: &Namespace,
     key: StageKey,
+    build: impl FnOnce() -> Option<T>,
 ) -> Option<std::sync::Arc<T>> {
-    stage::cache().get(stage, key)
+    stage::cache().get_or_build(ns, key, || (), |()| build())
 }
 
 /// Fetches a typed artifact **without** recording a hit — for observers
@@ -76,27 +86,6 @@ pub fn peek_stage_artifact<T: Send + Sync + 'static>(
     key: StageKey,
 ) -> Option<std::sync::Arc<T>> {
     stage::cache().peek(stage, key)
-}
-
-/// Publishes a freshly computed artifact into the process-wide stage cache
-/// under `(stage, key)`, recording a global miss plus `busy` compute time.
-/// The key must be a content hash chained from the artifact's inputs — the
-/// lint cache auditor (`H001`/`H002`/`H005`) walks every resident entry and
-/// flags any key it cannot re-derive.
-pub fn insert_stage_artifact(
-    stage: &'static str,
-    key: StageKey,
-    value: std::sync::Arc<dyn std::any::Any + Send + Sync>,
-    busy: std::time::Duration,
-) {
-    stage::cache().insert(stage, key, value, busy);
-}
-
-/// Records a quarantined recomputation for an external stage namespace: the
-/// build panicked before producing an artifact, so nothing was published
-/// under its key (see [`StageStats::quarantined`]).
-pub fn record_stage_quarantine(stage: &'static str) {
-    stage::cache().record_quarantine(stage);
 }
 
 /// The content-hash key of a card's **history** stage artifact (chain link

@@ -1,6 +1,6 @@
-//! Generic stage machinery: the [`Stage`] trait, content-hash keys, the
-//! process-wide **sharded** stage cache and its wait-free hit/miss/wall-time
-//! accounting.
+//! Generic stage machinery: cache [`Namespace`]s, content-hash keys, the
+//! process-wide **sharded** stage cache with its one get-or-build path, and
+//! its wait-free hit/miss/wall-time accounting.
 //!
 //! # Sharding
 //!
@@ -22,9 +22,12 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use schemachron_fault as fault;
 
 pub(crate) use schemachron_hash::{fnv1a, FNV_OFFSET};
 
@@ -41,22 +44,27 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// (seed + trait card + every stage version on the path).
 pub type StageKey = u64;
 
-/// One typed pipeline step: a pure function from an input artifact to an
-/// output artifact, with a stable identity for caching.
-///
-/// Implementors are stateless unit structs; identity lives in the inherent
-/// `NAME`/`VERSION` consts each one carries (exposed here as methods so the
-/// trait stays object-light and generic code can reach them).
-pub trait Stage<In, Out> {
-    /// Stable stage identifier — the cache namespace and counters key.
-    fn name(&self) -> &'static str;
+/// One stage-cache namespace: the identity every artifact built in it is
+/// cached, counted and fault-injected under. Each namespace is declared
+/// once, as a const, by the engine that owns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Namespace {
+    /// Stable namespace identifier — the cache namespace and counters key.
+    pub name: &'static str,
+    /// Logic version, mixed into every key derived in this namespace. Bump
+    /// it when the build changes so stale cached artifacts can never be
+    /// served.
+    pub version: u32,
+    /// The fault-injection site every build rolls against, if any.
+    pub fault_site: Option<&'static str>,
+}
 
-    /// Logic version, mixed into the output key. Bump it when the stage's
-    /// computation changes so stale cached artifacts can never be served.
-    fn version(&self) -> u32;
-
-    /// The computation. Must be pure: same input artifact, same output.
-    fn run(&self, input: &In) -> Out;
+impl Namespace {
+    /// Derives this namespace's output key from its input key (see
+    /// [`derive_key`]).
+    pub fn key(&self, in_key: StageKey) -> StageKey {
+        derive_key(self.name, self.version, in_key)
+    }
 }
 
 /// Derives a stage's output key from its identity and its input key.
@@ -195,7 +203,7 @@ struct ShardInner {
 /// Lookups and insertions are short critical sections on one shard; stage
 /// computation always happens outside any lock, so two threads racing on
 /// the same key at worst duplicate one computation (both results are
-/// identical by the purity contract of [`Stage::run`]).
+/// identical: every build is a pure function of its key's inputs).
 pub(crate) struct PipelineCache {
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the shard of key `k` is `k & mask`.
@@ -299,6 +307,45 @@ impl PipelineCache {
             }
         }
         found
+    }
+
+    /// The one get-or-build path. Returns the artifact cached under
+    /// `(ns, key)`, recording a hit. Otherwise computes `input()` — outside
+    /// the fault point, the panic guard and the busy clock, so upstream work
+    /// and upstream panics are never billed to `ns` — then runs `build`
+    /// under the namespace's fault site. A `Some` artifact is published with
+    /// its busy time (a miss); `None` publishes and counts nothing. A build
+    /// that panics records a quarantine and re-raises without publishing, so
+    /// the next caller sees a plain retryable miss, never a poisoned entry.
+    pub(crate) fn get_or_build<I, T: Send + Sync + 'static>(
+        &self,
+        ns: &Namespace,
+        key: StageKey,
+        input: impl FnOnce() -> I,
+        build: impl FnOnce(I) -> Option<T>,
+    ) -> Option<Arc<T>> {
+        if let Some(hit) = self.get(ns.name, key) {
+            return Some(hit);
+        }
+        let input = input();
+        let started = Instant::now();
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(site) = ns.fault_site {
+                fault::build_point(site, &format!("{}:{key:016x}", ns.name));
+            }
+            build(input)
+        }));
+        match built {
+            Ok(out) => {
+                let out = Arc::new(out?);
+                self.insert(ns.name, key, Arc::clone(&out) as _, started.elapsed());
+                Some(out)
+            }
+            Err(payload) => {
+                self.record_quarantine(ns.name);
+                resume_unwind(payload)
+            }
+        }
     }
 
     /// Fetches a typed artifact **without** touching the hit/miss counters.
@@ -683,6 +730,64 @@ mod tests {
             let snap = cache.stats_snapshot(&[stage]);
             assert_eq!(snap[0].misses, 8 * 25, "{stage}");
         }
+    }
+
+    /// A namespace private to the get-or-build tests.
+    const TEST_NS: Namespace = Namespace {
+        name: "test-get-or-build",
+        version: 1,
+        fault_site: None,
+    };
+
+    fn test_stats(cache: &PipelineCache) -> StageStats {
+        cache.stats_snapshot(&[TEST_NS.name])[0]
+    }
+
+    #[test]
+    fn get_or_build_hits_misses_and_publishes_nothing_for_none() {
+        let cache = PipelineCache::with_shards(4, 64);
+        // A miss builds, publishes and records a miss.
+        let built = cache.get_or_build(&TEST_NS, 1, || 5u64, |i| Some(i * 2));
+        assert_eq!(built.as_deref(), Some(&10));
+        assert_eq!((test_stats(&cache).hits, test_stats(&cache).misses), (0, 1));
+        assert_eq!(cache.len(), 1);
+        // A hit returns the same allocation and runs neither closure.
+        let again = cache.get_or_build::<(), u64>(
+            &TEST_NS,
+            1,
+            || panic!("input must not run on a hit"),
+            |()| panic!("build must not run on a hit"),
+        );
+        assert!(Arc::ptr_eq(&built.unwrap(), &again.unwrap()));
+        assert_eq!((test_stats(&cache).hits, test_stats(&cache).misses), (1, 1));
+        // A `None` build publishes nothing and counts no miss.
+        let none = cache.get_or_build(&TEST_NS, 2, || (), |()| None::<u64>);
+        assert!(none.is_none());
+        assert_eq!((test_stats(&cache).hits, test_stats(&cache).misses), (1, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn panicking_build_is_quarantined_and_rebuilt_on_the_next_call() {
+        let cache = PipelineCache::with_shards(4, 64);
+        let build_panics = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_build::<(), u64>(&TEST_NS, 3, || (), |()| panic!("build bug"))
+        }));
+        assert!(build_panics.is_err(), "the panic re-raises");
+        assert_eq!(test_stats(&cache).quarantined, 1);
+        assert_eq!(test_stats(&cache).misses, 0);
+        assert_eq!(cache.len(), 0, "a panicking build publishes nothing");
+        // An upstream (input) panic is not billed to this namespace.
+        let input_panics = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_build::<(), u64>(&TEST_NS, 3, || panic!("upstream bug"), |()| Some(0))
+        }));
+        assert!(input_panics.is_err());
+        assert_eq!(test_stats(&cache).quarantined, 1);
+        // The next call sees a plain miss and rebuilds.
+        let rebuilt = cache.get_or_build(&TEST_NS, 3, || (), |()| Some(3u64));
+        assert_eq!(rebuilt.as_deref(), Some(&3));
+        assert_eq!(test_stats(&cache).quarantined, 1);
+        assert_eq!(test_stats(&cache).misses, 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The eight concrete stages and the cached chain that walks them.
+//! The eight ingestion stages and the cached chain that walks them.
 //!
 //! Each stage replicates exactly one slice of the historical monolithic
 //! ingestion (`materialize` → `ProjectHistoryBuilder` → metrics → labels →
@@ -6,10 +6,7 @@
 //! single-pass build — the tests in `tests/stage_cache.rs` and the
 //! experiment goldens pin this down.
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use schemachron_fault as fault;
 
@@ -30,284 +27,160 @@ use super::artifact::{
     card_fingerprint, CardSpec, DiffSeq, DiffStep, LabelTuple, LogicalSchema, MetricVector,
     ParsedCommit, ParsedDdl, PatternClass, RawScripts,
 };
-use super::stage::{cache, derive_key, Stage, StageKey, StageTrace};
+use super::stage::{cache, Namespace, StageKey, StageTrace};
+
+/// An ingestion stage: every build rolls against the `pipeline::stage`
+/// fault site.
+const fn stage(name: &'static str, version: u32) -> Namespace {
+    Namespace {
+        name,
+        version,
+        fault_site: Some(fault::site::PIPELINE_STAGE),
+    }
+}
+
+/// The eight ingestion stages, in pipeline order.
+pub const STAGES: [Namespace; 8] = [
+    stage("materialize", 1),
+    stage("parse", 1),
+    stage("schema", 1),
+    stage("diff", 1),
+    stage("history", 1),
+    stage("metrics", 1),
+    stage("labels", 1),
+    stage("classify", 1),
+];
 
 /// The stage names in pipeline order — the canonical ordering for counter
 /// snapshots, `/health` and `BENCH_stages.json`.
-pub const STAGE_ORDER: [&str; 8] = [
-    MaterializeStage::NAME,
-    ParseStage::NAME,
-    SchemaStage::NAME,
-    DiffStage::NAME,
-    HistoryStage::NAME,
-    MetricsStage::NAME,
-    LabelsStage::NAME,
-    ClassifyStage::NAME,
-];
+pub const STAGE_ORDER: [&str; 8] = {
+    let mut order = [""; 8];
+    let mut i = 0;
+    while i < order.len() {
+        order[i] = STAGES[i].name;
+        i += 1;
+    }
+    order
+};
 
 /// Stage 1: card + seed → dated DDL scripts and source events.
-pub struct MaterializeStage;
-
-impl MaterializeStage {
-    /// Stage name.
-    pub const NAME: &'static str = "materialize";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<CardSpec, RawScripts> for MaterializeStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &CardSpec) -> RawScripts {
-        RawScripts {
-            project: materialize(&input.card, input.seed),
-        }
+fn materialize_card(spec: &CardSpec) -> RawScripts {
+    RawScripts {
+        project: materialize(&spec.card, spec.seed),
     }
 }
 
 /// Stage 2: scripts → parsed statements per commit, via the ingestion
 /// dialect's parser (see [`ingest_dialect`]).
-pub struct ParseStage;
-
-impl ParseStage {
-    /// Stage name.
-    pub const NAME: &'static str = "parse";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<RawScripts, ParsedDdl> for ParseStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &RawScripts) -> ParsedDdl {
-        // Stable sort by date, mirroring `ProjectHistoryBuilder::build`
-        // (same-date commits keep insertion order).
-        let mut dated: Vec<&(schemachron_history::Date, String)> =
-            input.project.ddl_commits.iter().collect();
-        dated.sort_by_key(|(d, _)| *d);
-        let dialect = ingest_dialect();
-        let commits = dated
-            .into_iter()
-            .map(|(date, sql)| {
-                let (statements, diagnostics) = dialect.parse(sql);
-                ParsedCommit {
-                    date: *date,
-                    statements,
-                    diagnostics,
-                }
-            })
-            .collect();
-        ParsedDdl { commits }
-    }
+fn parse_scripts(raw: &RawScripts) -> ParsedDdl {
+    // Stable sort by date, mirroring `ProjectHistoryBuilder::build`
+    // (same-date commits keep insertion order).
+    let mut dated: Vec<&(schemachron_history::Date, String)> =
+        raw.project.ddl_commits.iter().collect();
+    dated.sort_by_key(|(d, _)| *d);
+    let dialect = ingest_dialect();
+    let commits = dated
+        .into_iter()
+        .map(|(date, sql)| {
+            let (statements, diagnostics) = dialect.parse(sql);
+            ParsedCommit {
+                date: *date,
+                statements,
+                diagnostics,
+            }
+        })
+        .collect();
+    ParsedDdl { commits }
 }
 
 /// Stage 3: parsed statements → the logical schema after every commit.
-pub struct SchemaStage;
-
-impl SchemaStage {
-    /// Stage name.
-    pub const NAME: &'static str = "schema";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<ParsedDdl, LogicalSchema> for SchemaStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
+fn build_schemas(parsed: &ParsedDdl) -> LogicalSchema {
+    let mut snapshots = Vec::with_capacity(parsed.commits.len());
+    let mut diagnostics = Vec::new();
+    let mut prev = Schema::default();
+    for c in &parsed.commits {
+        // Migration-mode ingestion: apply on top of the previous version,
+        // exactly like `SchemaHistory::push`. The parse diagnostics come
+        // first, then any builder diagnostics — the order `apply_script`
+        // has always produced.
+        let mut b = SchemaBuilder::with_schema(prev.clone());
+        diagnostics.extend(c.diagnostics.iter().cloned());
+        b.apply_statements(&c.statements);
+        let (schema, mut b_diags) = b.finish();
+        diagnostics.append(&mut b_diags);
+        prev = schema.clone();
+        snapshots.push((c.date, Arc::new(schema)));
     }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &ParsedDdl) -> LogicalSchema {
-        let mut snapshots = Vec::with_capacity(input.commits.len());
-        let mut diagnostics = Vec::new();
-        let mut prev = Schema::default();
-        for c in &input.commits {
-            // Migration-mode ingestion: apply on top of the previous
-            // version, exactly like `SchemaHistory::push`. The parse
-            // diagnostics come first, then any builder diagnostics — the
-            // order `apply_script` has always produced.
-            let mut b = SchemaBuilder::with_schema(prev.clone());
-            diagnostics.extend(c.diagnostics.iter().cloned());
-            b.apply_statements(&c.statements);
-            let (schema, mut b_diags) = b.finish();
-            diagnostics.append(&mut b_diags);
-            prev = schema.clone();
-            snapshots.push((c.date, Arc::new(schema)));
-        }
-        LogicalSchema {
-            snapshots,
-            diagnostics,
-        }
+    LogicalSchema {
+        snapshots,
+        diagnostics,
     }
 }
 
 /// Stage 4: schema snapshots → version-over-version diffs.
-pub struct DiffStage;
-
-impl DiffStage {
-    /// Stage name.
-    pub const NAME: &'static str = "diff";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<LogicalSchema, DiffSeq> for DiffStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
+fn diff_versions(logical: &LogicalSchema) -> DiffSeq {
+    let empty = Schema::default();
+    let mut prev: &Schema = &empty;
+    let mut steps = Vec::with_capacity(logical.snapshots.len());
+    for (date, schema) in &logical.snapshots {
+        steps.push(DiffStep {
+            date: *date,
+            schema: Arc::clone(schema),
+            diff: diff(prev, schema),
+        });
+        prev = schema;
     }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &LogicalSchema) -> DiffSeq {
-        let empty = Schema::default();
-        let mut prev: &Schema = &empty;
-        let mut steps = Vec::with_capacity(input.snapshots.len());
-        for (date, schema) in &input.snapshots {
-            steps.push(DiffStep {
-                date: *date,
-                schema: Arc::clone(schema),
-                diff: diff(prev, schema),
-            });
-            prev = schema;
-        }
-        DiffSeq {
-            steps,
-            diagnostics: input.diagnostics.clone(),
-        }
+    DiffSeq {
+        steps,
+        diagnostics: logical.diagnostics.clone(),
     }
 }
 
-/// Input of [`HistoryStage`]: the diff sequence plus the raw scripts (for
-/// the project name and the source-activity events).
-pub struct HistoryInput {
-    /// The diff sequence.
-    pub diffs: Arc<DiffSeq>,
-    /// The materialized project (name + source commits).
-    pub raw: Arc<RawScripts>,
-}
-
-/// Stage 5: diffs + source events → the PUP-aligned project history.
-pub struct HistoryStage;
-
-impl HistoryStage {
-    /// Stage name.
-    pub const NAME: &'static str = "history";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<HistoryInput, ProjectHistory> for HistoryStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &HistoryInput) -> ProjectHistory {
-        let versions = input
-            .diffs
-            .steps
-            .iter()
-            .map(|s| SchemaVersion {
-                date: s.date,
-                schema: (*s.schema).clone(),
-                diff: s.diff.clone(),
-            })
-            .collect();
-        let history = SchemaHistory::from_versions(versions, input.diffs.diagnostics.clone());
-        ProjectHistory::from_schema_history(
-            input.raw.project.name.clone(),
-            history,
-            &input.raw.project.source_commits,
-        )
-    }
+/// Stage 5: diffs + source events (from the raw scripts, with the project
+/// name) → the PUP-aligned project history.
+fn build_history(diffs: &DiffSeq, raw: &RawScripts) -> ProjectHistory {
+    let versions = diffs
+        .steps
+        .iter()
+        .map(|s| SchemaVersion {
+            date: s.date,
+            schema: (*s.schema).clone(),
+            diff: s.diff.clone(),
+        })
+        .collect();
+    let history = SchemaHistory::from_versions(versions, diffs.diagnostics.clone());
+    ProjectHistory::from_schema_history(
+        raw.project.name.clone(),
+        history,
+        &raw.project.source_commits,
+    )
 }
 
 /// Stage 6: project history → §3.2 time metrics.
-pub struct MetricsStage;
-
-impl MetricsStage {
-    /// Stage name.
-    pub const NAME: &'static str = "metrics";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<ProjectHistory, MetricVector> for MetricsStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &ProjectHistory) -> MetricVector {
-        let metrics = TimeMetrics::from_project(input).unwrap_or_else(|| {
-            panic!(
-                "{}: corpus projects always have schema activity",
-                input.name()
-            )
-        });
-        MetricVector { metrics }
-    }
+fn measure(history: &ProjectHistory) -> MetricVector {
+    let metrics = TimeMetrics::from_project(history).unwrap_or_else(|| {
+        panic!(
+            "{}: corpus projects always have schema activity",
+            history.name()
+        )
+    });
+    MetricVector { metrics }
 }
 
 /// Stage 7: metrics → quantized §3.3 labels.
-pub struct LabelsStage;
-
-impl LabelsStage {
-    /// Stage name.
-    pub const NAME: &'static str = "labels";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<MetricVector, LabelTuple> for LabelsStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &MetricVector) -> LabelTuple {
-        LabelTuple {
-            labels: Labels::from_metrics(&input.metrics),
-        }
+fn quantize(metrics: &MetricVector) -> LabelTuple {
+    LabelTuple {
+        labels: Labels::from_metrics(&metrics.metrics),
     }
 }
 
 /// Stage 8: labels → strict and nearest pattern classification.
-pub struct ClassifyStage;
-
-impl ClassifyStage {
-    /// Stage name.
-    pub const NAME: &'static str = "classify";
-    /// Stage logic version.
-    pub const VERSION: u32 = 1;
-}
-
-impl Stage<LabelTuple, PatternClass> for ClassifyStage {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-    fn version(&self) -> u32 {
-        Self::VERSION
-    }
-    fn run(&self, input: &LabelTuple) -> PatternClass {
-        let (nearest, violations) = classify_nearest(&input.labels);
-        PatternClass {
-            strict: classify(&input.labels),
-            nearest,
-            violations,
-        }
+fn pattern_of(labels: &LabelTuple) -> PatternClass {
+    let (nearest, violations) = classify_nearest(&labels.labels);
+    PatternClass {
+        strict: classify(&labels.labels),
+        nearest,
+        violations,
     }
 }
 
@@ -315,16 +188,16 @@ impl Stage<LabelTuple, PatternClass> for ClassifyStage {
 /// Derivable without running anything: pure hash chaining from the card
 /// fingerprint.
 pub fn chain_keys(card: &Card, seed: u64) -> [StageKey; 8] {
-    let root = card_fingerprint(card, seed);
+    let mut key = card_fingerprint(card, seed);
     let mut keys = [0; 8];
-    keys[0] = derive_key(MaterializeStage::NAME, MaterializeStage::VERSION, root);
-    keys[1] = derive_key(ParseStage::NAME, ParseStage::VERSION, parse_salt(keys[0]));
-    keys[2] = derive_key(SchemaStage::NAME, SchemaStage::VERSION, keys[1]);
-    keys[3] = derive_key(DiffStage::NAME, DiffStage::VERSION, keys[2]);
-    keys[4] = derive_key(HistoryStage::NAME, HistoryStage::VERSION, keys[3]);
-    keys[5] = derive_key(MetricsStage::NAME, MetricsStage::VERSION, keys[4]);
-    keys[6] = derive_key(LabelsStage::NAME, LabelsStage::VERSION, keys[5]);
-    keys[7] = derive_key(ClassifyStage::NAME, ClassifyStage::VERSION, keys[6]);
+    for (i, ns) in STAGES.iter().enumerate() {
+        // The parse link salts its upstream key (see [`parse_salt`]).
+        if i == 1 {
+            key = parse_salt(key);
+        }
+        key = ns.key(key);
+        keys[i] = key;
+    }
     keys
 }
 
@@ -355,61 +228,7 @@ struct Chain<'a> {
     history: Option<Arc<ProjectHistory>>,
     metrics: Option<Arc<MetricVector>>,
     labels: Option<Arc<LabelTuple>>,
-}
-
-/// Runs one stage computation under the `pipeline::stage` fault-injection
-/// point with quarantine-on-panic: a run that panics (a stage bug, or an
-/// injected fault) records a quarantine for the stage and re-raises
-/// **without publishing anything** under the stage's key — the next
-/// consumer of that key sees a plain retryable miss, never a poisoned or
-/// half-built artifact.
-fn run_quarantined<Out>(
-    stage_name: &'static str,
-    key: StageKey,
-    run: impl FnOnce() -> Out,
-) -> Out {
-    match catch_unwind(AssertUnwindSafe(|| {
-        fault::stage_point(&format!("{stage_name}:{key:016x}"));
-        run()
-    })) {
-        Ok(out) => out,
-        Err(payload) => {
-            cache().record_quarantine(stage_name);
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// One memoized, cache-consulting stage step: returns the memo if present,
-/// else the cached artifact (recording a hit), else computes `$input` and
-/// runs the stage (recording a miss and the compute wall time). The run is
-/// quarantined: a panicking stage publishes nothing (see
-/// [`run_quarantined`]).
-macro_rules! step {
-    ($self:ident, $field:ident, $stage:ident, $out:ty, $idx:expr, $input:expr) => {{
-        if let Some(v) = &$self.$field {
-            return Arc::clone(v);
-        }
-        let key = $self.keys[$idx];
-        if let Some(v) = cache().get::<$out>($stage::NAME, key) {
-            $self.trace.record($stage::NAME, true);
-            $self.$field = Some(Arc::clone(&v));
-            return v;
-        }
-        let input = $input;
-        let started = Instant::now();
-        let out = Arc::new(run_quarantined($stage::NAME, key, || $stage.run(&input)));
-        let busy = started.elapsed();
-        cache().insert(
-            $stage::NAME,
-            key,
-            Arc::clone(&out) as Arc<dyn Any + Send + Sync>,
-            busy,
-        );
-        $self.trace.record($stage::NAME, false);
-        $self.$field = Some(Arc::clone(&out));
-        out
-    }};
+    class: Option<Arc<PatternClass>>,
 }
 
 impl<'a> Chain<'a> {
@@ -426,69 +245,76 @@ impl<'a> Chain<'a> {
             history: None,
             metrics: None,
             labels: None,
+            class: None,
         }
+    }
+
+    /// One memoized stage step: the memo if present, else the cache's
+    /// get-or-build for stage `idx`. `input` walks upstream and runs only
+    /// on a miss, so the trace records a hit exactly when it never ran.
+    fn step<I, T: Send + Sync + 'static>(
+        &mut self,
+        idx: usize,
+        memo: fn(&mut Self) -> &mut Option<Arc<T>>,
+        input: impl FnOnce(&mut Self) -> I,
+        run: impl FnOnce(I) -> T,
+    ) -> Arc<T> {
+        if let Some(v) = memo(self) {
+            return Arc::clone(v);
+        }
+        let mut hit = true;
+        let fetched = cache().get_or_build(
+            &STAGES[idx],
+            self.keys[idx],
+            || {
+                hit = false;
+                input(self)
+            },
+            |i| Some(run(i)),
+        );
+        let Some(out) = fetched else {
+            unreachable!("stage builds always publish an artifact")
+        };
+        self.trace.record(STAGES[idx].name, hit);
+        *memo(self) = Some(Arc::clone(&out));
+        out
     }
 
     fn raw(&mut self) -> Arc<RawScripts> {
-        step!(self, raw, MaterializeStage, RawScripts, 0, {
-            CardSpec {
-                card: self.card.clone(),
-                seed: self.seed,
-            }
-        })
+        let spec = |c: &mut Self| CardSpec {
+            card: c.card.clone(),
+            seed: c.seed,
+        };
+        self.step(0, |c| &mut c.raw, spec, |s| materialize_card(&s))
     }
 
     fn parsed(&mut self) -> Arc<ParsedDdl> {
-        step!(self, parsed, ParseStage, ParsedDdl, 1, self.raw())
+        self.step(1, |c| &mut c.parsed, Self::raw, |raw| parse_scripts(&raw))
     }
 
     fn schema(&mut self) -> Arc<LogicalSchema> {
-        step!(self, schema, SchemaStage, LogicalSchema, 2, self.parsed())
+        self.step(2, |c| &mut c.schema, Self::parsed, |p| build_schemas(&p))
     }
 
     fn diffs(&mut self) -> Arc<DiffSeq> {
-        step!(self, diffs, DiffStage, DiffSeq, 3, self.schema())
+        self.step(3, |c| &mut c.diffs, Self::schema, |s| diff_versions(&s))
     }
 
     fn history(&mut self) -> Arc<ProjectHistory> {
-        step!(self, history, HistoryStage, ProjectHistory, 4, {
-            HistoryInput {
-                diffs: self.diffs(),
-                raw: self.raw(),
-            }
-        })
+        let input = |c: &mut Self| (c.diffs(), c.raw());
+        self.step(4, |c| &mut c.history, input, |(d, r)| build_history(&d, &r))
     }
 
     fn metrics(&mut self) -> Arc<MetricVector> {
-        step!(self, metrics, MetricsStage, MetricVector, 5, self.history())
+        self.step(5, |c| &mut c.metrics, Self::history, |h| measure(&h))
     }
 
     fn labels(&mut self) -> Arc<LabelTuple> {
-        step!(self, labels, LabelsStage, LabelTuple, 6, self.metrics())
+        self.step(6, |c| &mut c.labels, Self::metrics, |m| quantize(&m))
     }
 
     fn classify(&mut self) -> Arc<PatternClass> {
-        // No memo field: the classification is the chain's terminal
-        // artifact, fetched exactly once per walk.
-        let key = self.keys[7];
-        if let Some(v) = cache().get::<PatternClass>(ClassifyStage::NAME, key) {
-            self.trace.record(ClassifyStage::NAME, true);
-            return v;
-        }
-        let input = self.labels();
-        let started = Instant::now();
-        let out = Arc::new(run_quarantined(ClassifyStage::NAME, key, || {
-            ClassifyStage.run(&input)
-        }));
-        let busy = started.elapsed();
-        cache().insert(
-            ClassifyStage::NAME,
-            key,
-            Arc::clone(&out) as Arc<dyn Any + Send + Sync>,
-            busy,
-        );
-        self.trace.record(ClassifyStage::NAME, false);
-        out
+        self.step(7, |c| &mut c.class, Self::labels, |l| pattern_of(&l))
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! The rest of the workspace *mines* histories of applied migrations; this
 //! crate synthesizes them. Given two logical
-//! [`Schema`](schemachron_model::Schema) versions, [`plan`] emits the DDL
+//! [`Schema`](schemachron_model::Schema) versions, [`plan()`] emits the DDL
 //! script that evolves the first into the second — the "Automatic
 //! Recommendations for Evolving Relational Databases Schema" direction — in
 //! any of three SQL dialects.
@@ -27,7 +27,7 @@
 //!   rendering** ([`Dialect::render_op`]). An op a dialect cannot express
 //!   comes back as a typed [`UnsupportedDiffOp`] — never a panic, never a
 //!   stringly error.
-//! * The **planner** ([`plan`]) drives the two: it renders the op batch,
+//! * The **planner** ([`plan()`]) drives the two: it renders the op batch,
 //!   falls back to a whole-table rebuild (`DROP TABLE` + `CREATE TABLE`)
 //!   when a dialect refuses an in-place alteration (SQLite has no `ALTER
 //!   COLUMN`), and then **verifies its own output** by replaying the

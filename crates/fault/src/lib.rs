@@ -51,7 +51,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub mod site {
     /// Corpus materialization: per-file writes in `write_corpus_dir`.
     pub const IO_WRITE: &str = "io::write";
-    /// One pipeline stage computation (keyed by `stage:chain-key`).
+    /// One ingestion stage build (keyed by `stage:chain-key`).
     pub const PIPELINE_STAGE: &str = "pipeline::stage";
     /// One `par_map` work item (keyed by item index).
     pub const PAR_MAP_WORKER: &str = "par_map::worker";
@@ -59,7 +59,8 @@ pub mod site {
     pub const SERVE_REQUEST: &str = "serve::request";
     /// One HTTP connection, after the response is computed (drops it).
     pub const SERVE_CONN: &str = "serve::conn";
-    /// One as-of index checkpoint build (keyed by `stage:cache-key`).
+    /// One as-of index or safety analysis build (keyed by
+    /// `namespace:cache-key`).
     pub const ASOF_CHECKPOINT: &str = "asof::checkpoint";
     /// One WAL record append (keyed by `project:seq`).
     pub const STREAM_WAL_APPEND: &str = "stream::wal_append";
@@ -353,41 +354,20 @@ pub fn slow_point(site_name: &str, key: &str) -> bool {
     false
 }
 
-/// Combined point for pipeline stages (slow or panic).
+/// Combined point for cached builds (slow or panic): every stage-cache
+/// namespace with a fault site rolls here, keyed by `namespace:cache-key`.
 ///
 /// # Panics
 /// By design, when the installed plan injects a [`FaultKind::WorkerPanic`].
-pub fn stage_point(key: &str) {
-    match roll(site::PIPELINE_STAGE, key, &[FaultKind::Slow, FaultKind::WorkerPanic]) {
+pub fn build_point(site_name: &str, key: &str) {
+    match roll(site_name, key, &[FaultKind::Slow, FaultKind::WorkerPanic]) {
         Some(FaultKind::Slow) => {
             if let Some(p) = plan() {
                 std::thread::sleep(p.slow);
             }
         }
         Some(FaultKind::WorkerPanic) => {
-            panic!("{INJECTED_PANIC_PREFIX} stage fault ({key})");
-        }
-        _ => {}
-    }
-}
-
-/// Combined point for as-of index checkpoint builds (slow or panic).
-///
-/// # Panics
-/// By design, when the installed plan injects a [`FaultKind::WorkerPanic`].
-pub fn checkpoint_point(key: &str) {
-    match roll(
-        site::ASOF_CHECKPOINT,
-        key,
-        &[FaultKind::Slow, FaultKind::WorkerPanic],
-    ) {
-        Some(FaultKind::Slow) => {
-            if let Some(p) = plan() {
-                std::thread::sleep(p.slow);
-            }
-        }
-        Some(FaultKind::WorkerPanic) => {
-            panic!("{INJECTED_PANIC_PREFIX} checkpoint fault ({key})");
+            panic!("{INJECTED_PANIC_PREFIX} build fault at {site_name} ({key})");
         }
         _ => {}
     }

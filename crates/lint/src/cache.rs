@@ -5,9 +5,11 @@
 //! The pipeline's content-hash discipline (see `corpus::pipeline`) is only
 //! trustworthy if the keys actually *are* content hashes. This pass
 //! re-derives every project's 8-stage key chain independently — straight
-//! from the [`schemachron_hash`] primitives and the stages' published
-//! `NAME`/`VERSION` constants, without calling the pipeline's own
-//! `derive_key` — then audits the live cache against the expected key set.
+//! from the [`schemachron_hash`] primitives, the pipeline's published
+//! `STAGE_ORDER` names and stage versions restated here, without calling
+//! the pipeline's own `derive_key` — then audits the live cache against the
+//! expected key set. The as-of, safety and stream namespaces are audited
+//! seed-free from one table of restated rows.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,56 +42,87 @@ fn rederive_parse_salt(in_key: StageKey) -> StageKey {
     fnv1a(h, &in_key.to_le_bytes())
 }
 
-/// The as-of checkpoint cache namespace, restated (the engine publishes it
-/// as [`schemachron_asof::CHECKPOINT_STAGE`]; a registry test pins the two
-/// together so drift is caught, not silently tolerated).
-const ASOF_STAGE: &str = "asof-checkpoint";
-
-/// The as-of checkpoint artifact version, restated from
-/// [`schemachron_asof::CHECKPOINT_VERSION`].
-const ASOF_VERSION: u32 = 1;
-
-/// Independent restatement of the as-of checkpoint key derivation:
-/// `derive(name, version, fnv1a(fnv1a(offset, K_le), history_key_le))`.
-fn rederive_asof_key(history_key: StageKey, k_months: usize) -> StageKey {
-    let salted = fnv1a(FNV_OFFSET, &(k_months as u64).to_le_bytes());
-    let salted = fnv1a(salted, &history_key.to_le_bytes());
-    rederive(ASOF_STAGE, ASOF_VERSION, salted)
+/// A derived namespace: a stage-cache namespace outside the ingestion chain
+/// whose artifacts record the inputs of their own key, so the audit
+/// re-derives each key seed-free. The name and version are restated here,
+/// not imported, so the audit stays independent of the engines (a test
+/// pins every row to the engine's `Namespace` const and key function).
+struct Derived {
+    /// The restated namespace name.
+    name: &'static str,
+    /// The restated namespace version.
+    version: u32,
+    /// The rule a disagreeing or foreign entry raises.
+    code: &'static str,
+    /// What the namespace's payload is, for the foreign-payload message.
+    payload: &'static str,
+    /// Reads the payload cached under `(name, key)` and restates the input
+    /// key of its chain link plus a description of the recorded inputs;
+    /// `None` when the payload is not this namespace's artifact type.
+    restate: fn(&'static str, StageKey) -> Option<(StageKey, String)>,
 }
 
-/// The safety-analysis cache namespace, restated (the engine publishes it
-/// as [`schemachron_safety::SAFETY_STAGE`]; a registry test pins the two
-/// together so drift is caught, not silently tolerated).
-const SAFETY_STAGE: &str = "safety";
+/// Every derived namespace, one row each.
+const DERIVED: [Derived; 3] = [
+    Derived {
+        name: "asof-checkpoint",
+        version: 1,
+        code: "H005",
+        payload: "an as-of index",
+        restate: restate_asof,
+    },
+    Derived {
+        name: "safety",
+        version: 1,
+        code: "H006",
+        payload: "a safety analysis",
+        restate: restate_safety,
+    },
+    Derived {
+        name: "stream-classify",
+        version: 1,
+        code: "H008",
+        payload: "a streamed classification",
+        restate: restate_stream,
+    },
+];
 
-/// The safety logic version, restated from
-/// [`schemachron_safety::SAFETY_LOGIC_VERSION`].
-const SAFETY_VERSION: u32 = 1;
-
-/// Independent restatement of the safety artifact key derivation: a plain
-/// chain link from the history key, `derive(name, version, history_key)` —
-/// no extra salt, unlike the K-salted as-of chain.
-fn rederive_safety_key(history_key: StageKey) -> StageKey {
-    rederive(SAFETY_STAGE, SAFETY_VERSION, history_key)
+/// The salt of a two-input chain link: `fnv1a(fnv1a(offset, a_le), b_le)`.
+fn salt(a: u64, b: u64) -> StageKey {
+    fnv1a(fnv1a(FNV_OFFSET, &a.to_le_bytes()), &b.to_le_bytes())
 }
 
-/// The streaming classification cache namespace, restated (the engine
-/// publishes it as [`schemachron_stream::STREAM_STAGE`]; a registry test
-/// pins the two together so drift is caught, not silently tolerated).
-const STREAM_STAGE: &str = "stream-classify";
+/// As-of checkpoints chain from the history key salted with K.
+fn restate_asof(name: &'static str, key: StageKey) -> Option<(StageKey, String)> {
+    let a = pipeline::peek_stage_artifact::<schemachron_asof::AsOfArtifact>(name, key)?;
+    let inputs = format!(
+        "history key {:016x} at K={} (project `{}`)",
+        a.history_key,
+        a.k_months,
+        a.index.project()
+    );
+    Some((salt(a.k_months as u64, a.history_key), inputs))
+}
 
-/// The streamed classification logic version, restated from
-/// [`schemachron_stream::STREAM_LOGIC_VERSION`].
-const STREAM_VERSION: u32 = 1;
+/// Safety analyses chain straight from the history key, unsalted.
+fn restate_safety(name: &'static str, key: StageKey) -> Option<(StageKey, String)> {
+    let a = pipeline::peek_stage_artifact::<schemachron_safety::SafetyArtifact>(name, key)?;
+    let inputs = format!(
+        "history key {:016x} (project `{}`)",
+        a.history_key, a.analysis.project
+    );
+    Some((a.history_key, inputs))
+}
 
-/// Independent restatement of the streamed classification key derivation:
-/// `derive(name, version, fnv1a(fnv1a(offset, count_le), chain_crc_le))` —
-/// the WAL chain checksum salted with the commit count, then the standard
-/// chain link.
-fn rederive_stream_key(chain_crc: StageKey, commit_count: u64) -> StageKey {
-    let salted = fnv1a(FNV_OFFSET, &commit_count.to_le_bytes());
-    let salted = fnv1a(salted, &chain_crc.to_le_bytes());
-    rederive(STREAM_STAGE, STREAM_VERSION, salted)
+/// Streamed classifications chain from the WAL chain checksum salted with
+/// the commit count.
+fn restate_stream(name: &'static str, key: StageKey) -> Option<(StageKey, String)> {
+    let a = pipeline::peek_stage_artifact::<schemachron_stream::StreamArtifact>(name, key)?;
+    let inputs = format!(
+        "chain checksum {:016x} over {} commit(s) (pattern `{}`)",
+        a.chain_crc, a.commit_count, a.pattern
+    );
+    Some((salt(a.commit_count, a.chain_crc), inputs))
 }
 
 /// Independent restatement of the cache's shard-count formula: the next
@@ -140,22 +173,12 @@ fn rederive_chain(card: &Card, seed: u64) -> [StageKey; 8] {
 ///   the count is not a power of two, or an entry resides outside the
 ///   shard its key selects (`key & (count - 1)`). A misplaced entry is
 ///   invisible to lookups, so it silently degrades the cache to a miss.
-/// * **H005** — an as-of checkpoint artifact (the time-travel engine's
-///   namespace) carries a key that disagrees with this module's restated
-///   derivation from the history key and checkpoint spacing the payload
-///   itself records, or the payload is not an as-of index at all. Unlike
-///   H001 this audit is seed-free: the artifact restates its own inputs,
-///   so its key is checkable without knowing which corpus built it.
-/// * **H006** — a safety-analysis artifact carries a key that disagrees
-///   with this module's restated derivation (`derive("safety", version,
-///   history_key)` from the history key the payload records), or the
-///   payload is not a safety analysis at all. Seed-free like H005.
-/// * **H008** — a streamed classification artifact (the live-ingestion
-///   engine's namespace) carries a key that disagrees with this module's
-///   restated derivation from the WAL chain checksum and commit count the
-///   payload itself records, or the payload is not a streamed
-///   classification at all. Seed-free like H005/H006: the WAL chain
-///   checksum is already a content hash of the full commit prefix.
+/// * **H005** (as-of), **H006** (safety), **H008** (stream) — an artifact
+///   in one of these derived namespaces carries a key that disagrees with
+///   the restated derivation from the inputs its payload records, or the
+///   payload is not that namespace's artifact at all. Unlike H001 these
+///   audits are seed-free: the artifact restates its own inputs, so its key
+///   is checkable without knowing which corpus built it.
 pub fn audit_stage_cache(cards: &[Card], seed: u64, report: &mut Report) {
     const PROJECT: &str = "(stage-cache)";
 
@@ -184,16 +207,8 @@ pub fn audit_stage_cache(cards: &[Card], seed: u64, report: &mut Report) {
 
     let known: BTreeSet<&str> = STAGE_ORDER.iter().copied().collect();
     for (stage, key) in pipeline::stage_cache_entries() {
-        if stage == ASOF_STAGE {
-            audit_asof_entry(key, report);
-            continue;
-        }
-        if stage == SAFETY_STAGE {
-            audit_safety_entry(key, report);
-            continue;
-        }
-        if stage == STREAM_STAGE {
-            audit_stream_entry(key, report);
+        if let Some(row) = DERIVED.iter().find(|row| row.name == stage) {
+            audit_derived_entry(row, key, report);
             continue;
         }
         if !known.contains(stage) {
@@ -252,94 +267,30 @@ pub fn audit_stage_cache(cards: &[Card], seed: u64, report: &mut Report) {
     }
 }
 
-/// H005: audits one artifact in the as-of checkpoint namespace against the
-/// restated key derivation (see [`rederive_asof_key`]).
-fn audit_asof_entry(key: StageKey, report: &mut Report) {
+/// H005/H006/H008: audits one artifact in a derived namespace against the
+/// restated key derivation of its row.
+fn audit_derived_entry(row: &Derived, key: StageKey, report: &mut Report) {
     const PROJECT: &str = "(stage-cache)";
-    let Some(artifact) =
-        pipeline::peek_stage_artifact::<schemachron_asof::AsOfArtifact>(ASOF_STAGE, key)
-    else {
+    let name = row.name;
+    let Some((in_key, inputs)) = (row.restate)(name, key) else {
         report.push(Diagnostic::new(
-            "H005",
+            row.code,
             PROJECT,
             format!(
-                "cached `{ASOF_STAGE}` artifact {key:016x} is not an as-of index payload"
+                "cached `{name}` artifact {key:016x} is not {} payload",
+                row.payload
             ),
         ));
         return;
     };
-    let restated = rederive_asof_key(artifact.history_key, artifact.k_months);
+    let restated = rederive(name, row.version, in_key);
     if restated != key {
         report.push(Diagnostic::new(
-            "H005",
+            row.code,
             PROJECT,
             format!(
-                "cached `{ASOF_STAGE}` artifact {key:016x} disagrees with the restated \
-                 derivation {restated:016x} for history key {:016x} at K={} \
-                 (project `{}`)",
-                artifact.history_key,
-                artifact.k_months,
-                artifact.index.project(),
-            ),
-        ));
-    }
-}
-
-/// H006: audits one artifact in the safety namespace against the restated
-/// key derivation (see [`rederive_safety_key`]).
-fn audit_safety_entry(key: StageKey, report: &mut Report) {
-    const PROJECT: &str = "(stage-cache)";
-    let Some(artifact) =
-        pipeline::peek_stage_artifact::<schemachron_safety::SafetyArtifact>(SAFETY_STAGE, key)
-    else {
-        report.push(Diagnostic::new(
-            "H006",
-            PROJECT,
-            format!("cached `{SAFETY_STAGE}` artifact {key:016x} is not a safety analysis payload"),
-        ));
-        return;
-    };
-    let restated = rederive_safety_key(artifact.history_key);
-    if restated != key {
-        report.push(Diagnostic::new(
-            "H006",
-            PROJECT,
-            format!(
-                "cached `{SAFETY_STAGE}` artifact {key:016x} disagrees with the restated \
-                 derivation {restated:016x} for history key {:016x} (project `{}`)",
-                artifact.history_key, artifact.analysis.project,
-            ),
-        ));
-    }
-}
-
-/// H008: audits one artifact in the streamed classification namespace
-/// against the restated key derivation (see [`rederive_stream_key`]).
-fn audit_stream_entry(key: StageKey, report: &mut Report) {
-    const PROJECT: &str = "(stage-cache)";
-    let Some(artifact) =
-        pipeline::peek_stage_artifact::<schemachron_stream::StreamArtifact>(STREAM_STAGE, key)
-    else {
-        report.push(Diagnostic::new(
-            "H008",
-            PROJECT,
-            format!(
-                "cached `{STREAM_STAGE}` artifact {key:016x} is not a streamed \
-                 classification payload"
-            ),
-        ));
-        return;
-    };
-    let restated = rederive_stream_key(artifact.chain_crc, artifact.commit_count);
-    if restated != key {
-        report.push(Diagnostic::new(
-            "H008",
-            PROJECT,
-            format!(
-                "cached `{STREAM_STAGE}` artifact {key:016x} disagrees with the restated \
-                 derivation {restated:016x} for chain checksum {:016x} over {} commit(s) \
-                 (pattern `{}`)",
-                artifact.chain_crc, artifact.commit_count, artifact.pattern,
+                "cached `{name}` artifact {key:016x} disagrees with the restated \
+                 derivation {restated:016x} for {inputs}"
             ),
         ));
     }
@@ -449,48 +400,48 @@ mod tests {
     }
 
     #[test]
-    fn restated_asof_constants_match_the_engine() {
-        assert_eq!(ASOF_STAGE, schemachron_asof::CHECKPOINT_STAGE);
-        assert_eq!(ASOF_VERSION, schemachron_asof::CHECKPOINT_VERSION);
-        // And the full key derivation, on an arbitrary input pair.
-        assert_eq!(
-            rederive_asof_key(0x1234_5678_9abc_def0, 12),
-            schemachron_asof::checkpoint_key(0x1234_5678_9abc_def0, 12)
-        );
+    fn derived_rows_match_the_engines() {
+        let x = 0x1234_5678_9abc_def0;
+        // Each row against its engine's namespace const, and the restated
+        // derivation against the engine's key function on arbitrary inputs.
+        let engines = [
+            (
+                schemachron_asof::CHECKPOINT,
+                salt(12, x),
+                schemachron_asof::checkpoint_key(x, 12),
+            ),
+            (
+                schemachron_safety::SAFETY,
+                x,
+                schemachron_safety::safety_key(x),
+            ),
+            (
+                schemachron_stream::STREAM,
+                salt(17, x),
+                schemachron_stream::stream_key(x, 17),
+            ),
+        ];
+        for (row, (ns, in_key, engine_key)) in DERIVED.iter().zip(engines) {
+            assert_eq!((row.name, row.version), (ns.name, ns.version));
+            let restated = rederive(row.name, row.version, in_key);
+            assert_eq!(restated, engine_key, "{}", row.code);
+        }
     }
 
     #[test]
-    fn restated_safety_constants_match_the_engine() {
-        assert_eq!(SAFETY_STAGE, schemachron_safety::SAFETY_STAGE);
-        assert_eq!(SAFETY_VERSION, schemachron_safety::SAFETY_LOGIC_VERSION);
-        // And the full key derivation, on an arbitrary input key.
-        assert_eq!(
-            rederive_safety_key(0x1234_5678_9abc_def0),
-            schemachron_safety::safety_key(0x1234_5678_9abc_def0)
-        );
-    }
-
-    #[test]
-    fn restated_stream_constants_match_the_engine() {
-        assert_eq!(STREAM_STAGE, schemachron_stream::STREAM_STAGE);
-        assert_eq!(STREAM_VERSION, schemachron_stream::STREAM_LOGIC_VERSION);
-        // And the full key derivation, on an arbitrary input pair.
-        assert_eq!(
-            rederive_stream_key(0x1234_5678_9abc_def0, 17),
-            schemachron_stream::stream_key(0x1234_5678_9abc_def0, 17)
-        );
-    }
-
-    #[test]
-    fn stream_entries_audit_clean_and_rekeying_is_caught() {
-        // Sequenced like the safety/as-of tests: the cache is process-wide,
-        // so the clean audit comes before the corruption.
+    fn derived_entries_audit_clean_and_corruption_is_caught() {
+        // Sequenced: the cache is process-wide, so each clean audit comes
+        // before the corruption it is compared against.
         let _lock = CACHE_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         pipeline::clear_stage_cache();
         let cards: Vec<Card> = all_cards().into_iter().take(1).collect();
-        let seed = 72_424; // private to this test: no cross-test interference
+        let seed = 52_424; // private to this test: no cross-test interference
+        let corpus = schemachron_corpus::Corpus::from_cards(cards.clone(), seed, 1);
+        let asof = schemachron_asof::index_for(&corpus.projects()[0], seed, 12)
+            .expect("corpus projects retain schema versions");
+        let safety = schemachron_safety::safety_for(&cards[0], seed);
         let commits = vec![
             (
                 "2021-03-10".parse().unwrap(),
@@ -502,138 +453,39 @@ mod tests {
             ),
         ];
         let crc = 0x57_24_24_01; // private chain checksum: no cross-test races
-        let built = schemachron_stream::classification_for("lint-stream-test", &commits, crc);
-        let key = schemachron_stream::stream_key(built.chain_crc, built.commit_count);
+        let stream = schemachron_stream::classification_for("lint-stream-test", &commits, crc);
+        // One resident artifact per row, in DERIVED order.
+        let keys = [
+            schemachron_asof::checkpoint_key(asof.history_key, asof.k_months),
+            schemachron_safety::safety_key(safety.history_key),
+            schemachron_stream::stream_key(stream.chain_crc, stream.commit_count),
+        ];
+        let audit = |expected: &[&str], needle: &str| {
+            let mut report = Report::new();
+            audit_stage_cache(&cards, seed, &mut report);
+            let human = report.render_human();
+            assert_eq!(codes(&report), expected, "{human}");
+            assert!(human.contains(needle), "{human}");
+        };
+        audit(&[], "");
 
-        let mut clean = Report::new();
-        audit_stage_cache(&cards, seed, &mut clean);
-        assert!(clean.diagnostics().is_empty(), "{}", clean.render_human());
+        for (i, row) in DERIVED.iter().enumerate() {
+            // Re-key the artifact: its payload restates the real inputs, so
+            // the restated derivation no longer lands on the cached key.
+            let (key, bogus) = (keys[i], keys[i] ^ 0x0bad_cafe);
+            assert!(corrupt_stage_cache_entry((row.name, key), (row.name, bogus)));
+            audit(&[row.code], "restated");
+            assert!(corrupt_stage_cache_entry((row.name, bogus), (row.name, key)));
+            audit(&[], "");
 
-        // Re-key the artifact: its payload restates the real chain checksum
-        // and commit count, so the restated derivation no longer lands on
-        // the cached key — H008.
-        let stage = schemachron_stream::STREAM_STAGE;
-        assert!(corrupt_stage_cache_entry(
-            (stage, key),
-            (stage, key ^ 0x0bad_5eed)
-        ));
-        let mut rekeyed = Report::new();
-        audit_stage_cache(&cards, seed, &mut rekeyed);
-        assert_eq!(codes(&rekeyed), ["H008"]);
-        assert!(
-            rekeyed.render_human().contains("restated"),
-            "{}",
-            rekeyed.render_human()
-        );
-
-        // Restore so other tests sharing the process cache are unaffected.
-        assert!(corrupt_stage_cache_entry(
-            (stage, key ^ 0x0bad_5eed),
-            (stage, key)
-        ));
-        let mut restored = Report::new();
-        audit_stage_cache(&cards, seed, &mut restored);
-        assert!(
-            restored.diagnostics().is_empty(),
-            "{}",
-            restored.render_human()
-        );
-    }
-
-    #[test]
-    fn safety_entries_audit_clean_and_rekeying_is_caught() {
-        // Sequenced like the as-of test below: the cache is process-wide,
-        // so the clean audit comes before the corruption.
-        let _lock = CACHE_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        pipeline::clear_stage_cache();
-        let cards: Vec<Card> = all_cards().into_iter().take(1).collect();
-        let seed = 62_424; // private to this test: no cross-test interference
-        let built = schemachron_safety::safety_for(&cards[0], seed);
-        let key = schemachron_safety::safety_key(built.history_key);
-
-        let mut clean = Report::new();
-        audit_stage_cache(&cards, seed, &mut clean);
-        assert!(clean.diagnostics().is_empty(), "{}", clean.render_human());
-
-        // Re-key the artifact: its payload restates the real history key,
-        // so the restated derivation no longer lands on the cached key —
-        // H006.
-        let stage = schemachron_safety::SAFETY_STAGE;
-        assert!(corrupt_stage_cache_entry(
-            (stage, key),
-            (stage, key ^ 0x0bad_f00d)
-        ));
-        let mut rekeyed = Report::new();
-        audit_stage_cache(&cards, seed, &mut rekeyed);
-        assert_eq!(codes(&rekeyed), ["H006"]);
-        assert!(
-            rekeyed.render_human().contains("restated"),
-            "{}",
-            rekeyed.render_human()
-        );
-
-        // Restore so other tests sharing the process cache are unaffected.
-        assert!(corrupt_stage_cache_entry(
-            (stage, key ^ 0x0bad_f00d),
-            (stage, key)
-        ));
-        let mut restored = Report::new();
-        audit_stage_cache(&cards, seed, &mut restored);
-        assert!(
-            restored.diagnostics().is_empty(),
-            "{}",
-            restored.render_human()
-        );
-    }
-
-    #[test]
-    fn asof_entries_audit_clean_and_rekeying_is_caught() {
-        // Sequenced like the stage-cache test above: the cache is
-        // process-wide, so the clean audit comes before the corruption.
-        let _lock = CACHE_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        pipeline::clear_stage_cache();
-        let cards: Vec<Card> = all_cards().into_iter().take(1).collect();
-        let seed = 52_424; // private to this test: no cross-test interference
-        let corpus = schemachron_corpus::Corpus::from_cards(cards.clone(), seed, 1);
-        let built = schemachron_asof::index_for(&corpus.projects()[0], seed, 12)
-            .expect("corpus projects retain schema versions");
-        let key = schemachron_asof::checkpoint_key(built.history_key, built.k_months);
-
-        let mut clean = Report::new();
-        audit_stage_cache(&cards, seed, &mut clean);
-        assert!(clean.diagnostics().is_empty(), "{}", clean.render_human());
-
-        // Re-key the artifact: its payload restates the real inputs, so the
-        // restated derivation no longer lands on the cached key — H005.
-        let stage = schemachron_asof::CHECKPOINT_STAGE;
-        assert!(corrupt_stage_cache_entry(
-            (stage, key),
-            (stage, key ^ 0x0bad_cafe)
-        ));
-        let mut rekeyed = Report::new();
-        audit_stage_cache(&cards, seed, &mut rekeyed);
-        assert_eq!(codes(&rekeyed), ["H005"]);
-        assert!(
-            rekeyed.render_human().contains("restated"),
-            "{}",
-            rekeyed.render_human()
-        );
-
-        // Restore so other tests sharing the process cache are unaffected.
-        assert!(corrupt_stage_cache_entry(
-            (stage, key ^ 0x0bad_cafe),
-            (stage, key)
-        ));
-        let mut restored = Report::new();
-        audit_stage_cache(&cards, seed, &mut restored);
-        assert!(
-            restored.diagnostics().is_empty(),
-            "{}",
-            restored.render_human()
-        );
+            // File the next row's artifact under this row's name: the
+            // payload is not this namespace's artifact type.
+            let next = (i + 1) % DERIVED.len();
+            let (other, other_key) = (DERIVED[next].name, keys[next]);
+            assert!(corrupt_stage_cache_entry((other, other_key), (row.name, other_key)));
+            audit(&[row.code], &format!("is not {} payload", row.payload));
+            assert!(corrupt_stage_cache_entry((row.name, other_key), (other, other_key)));
+            audit(&[], "");
+        }
     }
 }

@@ -41,7 +41,8 @@ fn ideal_of(schema: &Schema) -> Schema {
 }
 
 /// Replays a project's scripts to the final schema and emits one `R001`
-/// note per statement of the planned migration toward [`ideal_of`]. A
+/// note per statement of the planned migration toward the ideal schema
+/// (`ideal_of`: every keyless table given a primary key). A
 /// project whose final schema is already ideal emits nothing.
 pub fn recommend_next_migration(
     project: &str,

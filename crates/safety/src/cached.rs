@@ -1,42 +1,28 @@
 //! Safety analyses in the pipeline's content-hash stage cache.
 //!
-//! A project's [`SafetyAnalysis`] is published as **one** artifact in the
-//! process-wide lock-striped `PipelineCache`, under its own stage namespace
-//! [`SAFETY_STAGE`]. The key chains from the project's *history-stage* key
-//! (chain link 5 of the ingestion pipeline) through
-//! [`SAFETY_LOGIC_VERSION`], so the PR-3 invalidation discipline extends
-//! for free: editing a card re-fingerprints its history artifact, which
-//! re-fingerprints the safety analysis built on it. The lint `H006` audit
-//! restates this derivation independently and flags any resident analysis
-//! whose key it cannot reproduce.
-//!
-//! Builds are quarantined exactly like pipeline stages: a build that
-//! panics (e.g. via an injected `safety:` fault) never publishes a cache
-//! entry — the panic propagates after bumping the namespace's quarantine
-//! counter, and the next caller sees a plain retryable miss.
+//! A project's [`SafetyAnalysis`] is published as **one** artifact under the
+//! [`SAFETY`] namespace, keyed from the project's history-stage key, and
+//! filled through the pipeline's one get-or-build path. DESIGN.md
+//! "Stage-cache namespaces" lists its key input, fault site and lint rule.
 
 use std::ops::Deref;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use schemachron_corpus::materialize::materialize;
-use schemachron_corpus::pipeline::{
-    derive_key, history_stage_key, insert_stage_artifact, record_stage_quarantine, stage_artifact,
-    StageKey,
-};
+use schemachron_corpus::pipeline::{get_or_build, history_stage_key, Namespace, StageKey};
 use schemachron_corpus::Card;
 use schemachron_fault as fault;
 
 use crate::analyze::{analyze, SafetyAnalysis};
 
-/// The safety subsystem's stage-cache namespace.
-pub const SAFETY_STAGE: &str = "safety";
-
-/// Logic version of the analysis, mixed into every safety key. Bump it when
-/// the classifier, the inverse synthesizer or the lineage tracker changes
-/// so stale cached analyses can never be served.
-pub const SAFETY_LOGIC_VERSION: u32 = 1;
+/// The safety subsystem's stage-cache namespace. Bump the version when the
+/// classifier, the inverse synthesizer or the lineage tracker changes.
+/// Builds roll against the as-of checkpoint fault site.
+pub const SAFETY: Namespace = Namespace {
+    name: "safety",
+    version: 1,
+    fault_site: Some(fault::site::ASOF_CHECKPOINT),
+};
 
 /// A cached safety analysis plus the provenance of its own cache key, so
 /// the lint auditor can re-derive the key from first principles.
@@ -56,12 +42,11 @@ impl Deref for SafetyArtifact {
     }
 }
 
-/// Derives the cache key of a project's safety analysis: the
-/// stage-chaining hash of this namespace's identity over the history key.
-/// Deterministic and content-addressed — any change to the card, the seed,
-/// an upstream stage version or the safety logic lands on a different key.
+/// Derives the cache key of a project's safety analysis: the [`SAFETY`]
+/// chain link over the history key. Any change to the card, the seed, an
+/// upstream stage version or the safety logic lands on a different key.
 pub fn safety_key(history_key: StageKey) -> StageKey {
-    derive_key(SAFETY_STAGE, SAFETY_LOGIC_VERSION, history_key)
+    SAFETY.key(history_key)
 }
 
 /// The safety analysis for a corpus card, served from the stage cache when
@@ -70,36 +55,21 @@ pub fn safety_key(history_key: StageKey) -> StageKey {
 /// byte-identical rendering.
 ///
 /// # Panics
-/// Propagates a panicking build (including injected `safety:` faults)
-/// after recording a quarantine — never after publishing an entry.
+/// Propagates a panicking build (including injected faults) after
+/// recording a quarantine — never after publishing an entry.
 pub fn safety_for(card: &Card, seed: u64) -> Arc<SafetyArtifact> {
     let history_key = history_stage_key(card, seed);
-    let key = safety_key(history_key);
-    if let Some(hit) = stage_artifact::<SafetyArtifact>(SAFETY_STAGE, key) {
-        return hit;
-    }
-    let started = Instant::now();
-    let built = catch_unwind(AssertUnwindSafe(|| {
-        fault::checkpoint_point(&format!("{SAFETY_STAGE}:{key:016x}"));
+    let built = get_or_build(&SAFETY, safety_key(history_key), || {
         let project = materialize(card, seed);
-        analyze(&card.name, &project.ddl_commits)
-    }));
-    match built {
-        Ok(analysis) => {
-            let artifact = Arc::new(SafetyArtifact {
-                history_key,
-                analysis,
-            });
-            insert_stage_artifact(SAFETY_STAGE, key, artifact.clone(), started.elapsed());
-            artifact
-        }
-        Err(payload) => {
-            // Quarantine: the key was never published, so the next caller
-            // gets a clean retryable miss instead of a poisoned artifact.
-            record_stage_quarantine(SAFETY_STAGE);
-            resume_unwind(payload)
-        }
-    }
+        Some(SafetyArtifact {
+            history_key,
+            analysis: analyze(&card.name, &project.ddl_commits),
+        })
+    });
+    let Some(artifact) = built else {
+        unreachable!("safety builds always publish an artifact")
+    };
+    artifact
 }
 
 #[cfg(test)]

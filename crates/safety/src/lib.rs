@@ -24,9 +24,8 @@
 //!
 //! Analyses are pure functions of a project's dated DDL commits. The
 //! [`cached`] module memoizes them in the process-wide stage cache under
-//! the `safety` namespace, keyed by a chain from the project's history
-//! stage key and [`SAFETY_LOGIC_VERSION`] — audited independently by the
-//! lint H-pass. [`render`] provides the single human/JSON shape shared
+//! the [`SAFETY`] namespace, keyed from the project's history stage key —
+//! audited independently by the lint H-pass. [`render`] provides the single human/JSON shape shared
 //! byte-for-byte by the CLI `safety` command and the serve
 //! `GET /project/{id}/safety` route.
 //!
@@ -41,7 +40,7 @@ pub mod locate;
 pub mod render;
 
 pub use analyze::{analyze, analyze_history, OpSafety, SafetyAnalysis, Transition};
-pub use cached::{safety_for, safety_key, SafetyArtifact, SAFETY_LOGIC_VERSION, SAFETY_STAGE};
+pub use cached::{safety_for, safety_key, SafetyArtifact, SAFETY};
 pub use classify::{classify_op, classify_plan, Classification, PlanSafety, Safety};
 pub use invert::{apply_op, fingerprint, inverse_matches_class, inverse_op};
 pub use lineage::{column_lineage, ColumnRecord, LineageSummary};

@@ -2,35 +2,31 @@
 //! incremental stage cache.
 //!
 //! Every acknowledged append re-derives the project's time-pattern from its
-//! full commit prefix. The result is published in the process-wide
-//! pipeline cache under the [`STREAM_STAGE`] namespace, keyed by the WAL's
-//! **chain checksum** — already a content hash of the entire commit history
-//! — so one appended commit re-runs exactly one classification chain and
-//! every other project (and every earlier prefix) stays a cache hit. The
-//! lint `H008` audit restates this derivation from the payload's own
-//! recorded inputs, exactly like the as-of (`H005`) and safety (`H006`)
-//! namespaces.
+//! full commit prefix, cached under the [`STREAM`] namespace and keyed by
+//! the WAL's **chain checksum** — already a content hash of the entire
+//! commit history — so one appended commit re-runs exactly one
+//! classification and every earlier prefix stays a cache hit. DESIGN.md
+//! "Stage-cache namespaces" lists its key input, fault site and lint rule.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use schemachron_core::metrics::TimeMetrics;
 use schemachron_core::patterns::{classify, classify_nearest};
 use schemachron_core::quantize::Labels;
-use schemachron_corpus::pipeline::{
-    derive_key, insert_stage_artifact, record_stage_quarantine, stage_artifact, StageKey,
-};
+use schemachron_corpus::pipeline::{get_or_build, Namespace, StageKey};
 use schemachron_hash::{fnv1a, FNV_OFFSET};
 use schemachron_history::{Date, ProjectHistoryBuilder};
 
-/// The streaming subsystem's stage-cache namespace.
-pub const STREAM_STAGE: &str = "stream-classify";
+/// The streaming subsystem's stage-cache namespace. Bump the version when
+/// the commit→pattern derivation changes. Builds are never faulted.
+pub const STREAM: Namespace = Namespace {
+    name: "stream-classify",
+    version: 1,
+    fault_site: None,
+};
 
-/// Logic version of the streamed classification, mixed into every key.
-/// Bump it when the commit→pattern derivation changes so stale cached
-/// classifications can never be served.
-pub const STREAM_LOGIC_VERSION: u32 = 1;
+/// The [`STREAM`] namespace's name, for counter snapshots.
+pub const STREAM_STAGE: &str = STREAM.name;
 
 /// The pattern label of a project with no classifiable schema activity.
 pub const UNCLASSIFIED: &str = "unclassified";
@@ -48,14 +44,12 @@ pub struct StreamArtifact {
     pub pattern: String,
 }
 
-/// Derives the cache key of a streamed classification: the stage-chaining
-/// hash of this namespace's identity over the commit-count-salted chain
-/// checksum. Content-addressed — any change to any commit in the prefix
-/// lands on a different key.
+/// Derives the cache key of a streamed classification: the [`STREAM`]
+/// chain link over the commit-count-salted chain checksum. Any change to
+/// any commit in the prefix lands on a different key.
 pub fn stream_key(chain_crc: u64, commit_count: u64) -> StageKey {
     let salted = fnv1a(FNV_OFFSET, &commit_count.to_le_bytes());
-    let salted = fnv1a(salted, &chain_crc.to_le_bytes());
-    derive_key(STREAM_STAGE, STREAM_LOGIC_VERSION, salted)
+    STREAM.key(fnv1a(salted, &chain_crc.to_le_bytes()))
 }
 
 /// Classifies a commit prefix outright (no cache): builds the history and
@@ -91,29 +85,17 @@ pub fn classification_for(
     chain_crc: u64,
 ) -> Arc<StreamArtifact> {
     let commit_count = commits.len() as u64;
-    let key = stream_key(chain_crc, commit_count);
-    if let Some(hit) = stage_artifact::<StreamArtifact>(STREAM_STAGE, key) {
-        return hit;
-    }
-    let started = Instant::now();
-    let built = catch_unwind(AssertUnwindSafe(|| classify_commits(project, commits)));
-    match built {
-        Ok(pattern) => {
-            let artifact = Arc::new(StreamArtifact {
-                chain_crc,
-                commit_count,
-                pattern,
-            });
-            insert_stage_artifact(STREAM_STAGE, key, artifact.clone(), started.elapsed());
-            artifact
-        }
-        Err(payload) => {
-            // Quarantine: the key was never published, so the next caller
-            // gets a clean retryable miss instead of a poisoned artifact.
-            record_stage_quarantine(STREAM_STAGE);
-            resume_unwind(payload)
-        }
-    }
+    let built = get_or_build(&STREAM, stream_key(chain_crc, commit_count), || {
+        Some(StreamArtifact {
+            chain_crc,
+            commit_count,
+            pattern: classify_commits(project, commits),
+        })
+    });
+    let Some(artifact) = built else {
+        unreachable!("stream builds always publish an artifact")
+    };
+    artifact
 }
 
 #[cfg(test)]

@@ -55,8 +55,8 @@ pub mod store;
 pub mod wal;
 
 pub use classify::{
-    classification_for, classify_commits, stream_key, StreamArtifact, STREAM_LOGIC_VERSION,
-    STREAM_STAGE, UNCLASSIFIED,
+    classification_for, classify_commits, stream_key, StreamArtifact, STREAM, STREAM_STAGE,
+    UNCLASSIFIED,
 };
 pub use feed::{ChangeEvent, ChangeFeed, FeedBatch, FEED_CAPACITY};
 pub use store::{Append, StreamError, StreamStore};

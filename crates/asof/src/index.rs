@@ -204,7 +204,7 @@ impl AsOfIndex {
     /// Naive baseline: the schema as of `m` by replaying **every** delta
     /// from birth, ignoring checkpoints. Same result as
     /// [`AsOfIndex::schema_as_of`] by construction; exists as the
-    /// property-test oracle and the cold side of `asof_bench`.
+    /// property-test oracle and the cold side of the `speed_gates` as-of gate.
     pub fn schema_by_full_replay(&self, m: MonthId) -> Option<Schema> {
         if !self.in_lifespan(m) {
             return None;

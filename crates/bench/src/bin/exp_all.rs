@@ -1,38 +1,33 @@
-//! Regenerates every table and figure of the paper in one run.
+//! Regenerates every table and figure of the paper in one run, plus the
+//! Figure 3 SVG gallery (one file per pattern exemplar). A single
+//! experiment is `schemachron experiments <id>`.
 
 use schemachron_bench::context::ExpContext;
-use schemachron_bench::{emit, experiments as exp, DEFAULT_SEED};
+use schemachron_bench::experiments::{figure3, EXPERIMENTS};
+use schemachron_bench::{emit, DEFAULT_SEED};
 
 fn main() {
     let ctx = ExpContext::new(DEFAULT_SEED);
-    macro_rules! run {
-        ($id:literal, $f:ident) => {{
-            let r = exp::$f(&ctx);
-            emit(
-                $id,
-                &r.render(),
-                &serde_json::to_value(&r).expect("serializable"),
-            );
-            println!("{}", "=".repeat(78));
-        }};
+    for experiment in EXPERIMENTS {
+        let (text, json) = (experiment.run)(&ctx);
+        emit(experiment.id, &text, &json);
+        println!("{}", "=".repeat(78));
     }
-    run!("exp_table1", table1);
-    run!("exp_table2", table2);
-    run!("exp_figure1", figure1);
-    run!("exp_figure2", figure2);
-    run!("exp_figure3", figure3);
-    run!("exp_figure4", figure4);
-    run!("exp_figure5", figure5);
-    run!("exp_figure6", figure6);
-    run!("exp_figure7", figure7);
-    run!("exp_stats34", stats34);
-    run!("exp_stats52", stats52);
-    run!("exp_stats61", stats61);
-    run!("exp_stats62", stats62);
-    run!("exp_stats63", stats63);
-    run!("exp_ablation", ablation);
-    run!("exp_tables", tables_exp);
-    run!("exp_coevolution", co_evolution_exp);
-    run!("exp_forecast", forecast);
-    run!("exp_safety", safety_exp);
+
+    let dir = std::path::Path::new("target/experiments/figure3");
+    if std::fs::create_dir_all(dir).is_ok() {
+        let svg = schemachron_chart::svg::SvgChart::default();
+        for (pattern, name, _) in &figure3(&ctx).charts {
+            let exemplar = ctx
+                .corpus
+                .projects()
+                .iter()
+                .find(|p| &p.card.name == name)
+                .expect("exemplar exists");
+            let file = dir.join(format!("{}.svg", pattern.name().replace(' ', "_")));
+            if std::fs::write(&file, svg.render(&exemplar.history)).is_ok() {
+                println!("wrote {}", file.display());
+            }
+        }
+    }
 }

@@ -10,7 +10,7 @@
 //! memoized.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use schemachron_core::predict::BirthPredictor;
 use schemachron_core::quantize::{feature_value_names, tree_features, FEATURE_NAMES};
@@ -24,9 +24,15 @@ static CORPUS_CACHE: OnceLock<Mutex<HashMap<u64, Arc<Corpus>>>> = OnceLock::new(
 /// The shared corpus for a seed: built (in parallel) on first request,
 /// served from the cache afterwards. [`Corpus::build_count`] observes the
 /// build-exactly-once behaviour.
+///
+/// # Panics
+/// Propagates a panicking build (e.g. a worker fault that exhausted its
+/// retries). The cache stays usable: later calls build or serve normally.
 pub fn shared_corpus(seed: u64) -> Arc<Corpus> {
     let cache = CORPUS_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("corpus cache lock");
+    // The map is written only after a build succeeds, so a lock poisoned by
+    // a panicking build never guards a half-written entry.
+    let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
     Arc::clone(map.entry(seed).or_insert_with(|| {
         eprintln!(
             "[corpus] building seed-{seed} corpus ({} jobs)",

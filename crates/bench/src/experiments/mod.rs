@@ -24,62 +24,73 @@ pub use tables::{figure4, table1, table2, Figure4, Table1, Table2};
 
 use crate::context::ExpContext;
 
-/// The valid experiment ids, in paper order — the single registry shared by
-/// the CLI, the `exp_*` binaries and the HTTP service.
-pub const EXPERIMENT_IDS: [&str; 19] = [
-    "exp_table1",
-    "exp_table2",
-    "exp_figure1",
-    "exp_figure2",
-    "exp_figure3",
-    "exp_figure4",
-    "exp_figure5",
-    "exp_figure6",
-    "exp_figure7",
-    "exp_stats34",
-    "exp_stats52",
-    "exp_stats61",
-    "exp_stats62",
-    "exp_stats63",
-    "exp_ablation",
-    "exp_tables",
-    "exp_coevolution",
-    "exp_forecast",
-    "exp_safety",
+/// One reproduced experiment: its id and the runner that regenerates it.
+pub struct Experiment {
+    /// The experiment id: the `schemachron experiments <id>` argument, the
+    /// `GET /experiments/{id}` path segment and the file stem of its
+    /// outputs under `target/experiments/`.
+    pub id: &'static str,
+    /// Runs the experiment, returning its plain-text rendering and the JSON
+    /// form persisted under `target/experiments/` and served by
+    /// `schemachron serve`.
+    pub run: fn(&ExpContext) -> (String, serde_json::Value),
+}
+
+/// A table row: `id` run through experiment function `f`.
+macro_rules! experiment {
+    ($id:literal, $f:ident) => {
+        Experiment {
+            id: $id,
+            run: |ctx| {
+                let r = $f(ctx);
+                (r.render(), serde_json::to_value(&r).expect("serializable"))
+            },
+        }
+    };
+}
+
+/// Every experiment, in paper order — the single registry behind the CLI,
+/// the `exp_all` binary, the chaos drill and the HTTP service.
+pub const EXPERIMENTS: &[Experiment] = &[
+    experiment!("exp_table1", table1),
+    experiment!("exp_table2", table2),
+    experiment!("exp_figure1", figure1),
+    experiment!("exp_figure2", figure2),
+    experiment!("exp_figure3", figure3),
+    experiment!("exp_figure4", figure4),
+    experiment!("exp_figure5", figure5),
+    experiment!("exp_figure6", figure6),
+    experiment!("exp_figure7", figure7),
+    experiment!("exp_stats34", stats34),
+    experiment!("exp_stats52", stats52),
+    experiment!("exp_stats61", stats61),
+    experiment!("exp_stats62", stats62),
+    experiment!("exp_stats63", stats63),
+    experiment!("exp_ablation", ablation),
+    experiment!("exp_tables", tables_exp),
+    experiment!("exp_coevolution", co_evolution_exp),
+    experiment!("exp_forecast", forecast),
+    experiment!("exp_safety", safety_exp),
 ];
 
-/// Runs experiment `id` against `ctx` and returns its plain-text rendering
-/// plus the JSON form persisted under `target/experiments/` and served by
-/// `schemachron serve`. `None` for an unknown id (see [`EXPERIMENT_IDS`]).
-pub fn run_experiment(id: &str, ctx: &ExpContext) -> Option<(String, serde_json::Value)> {
-    macro_rules! case {
-        ($f:ident) => {{
-            let r = $f(ctx);
-            (r.render(), serde_json::to_value(&r).expect("serializable"))
-        }};
+/// The valid experiment ids, in paper order (the ids of [`EXPERIMENTS`]).
+pub const EXPERIMENT_IDS: [&str; EXPERIMENTS.len()] = {
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].id;
+        i += 1;
     }
-    Some(match id {
-        "exp_table1" => case!(table1),
-        "exp_table2" => case!(table2),
-        "exp_figure1" => case!(figure1),
-        "exp_figure2" => case!(figure2),
-        "exp_figure3" => case!(figure3),
-        "exp_figure4" => case!(figure4),
-        "exp_figure5" => case!(figure5),
-        "exp_figure6" => case!(figure6),
-        "exp_figure7" => case!(figure7),
-        "exp_stats34" => case!(stats34),
-        "exp_stats52" => case!(stats52),
-        "exp_stats61" => case!(stats61),
-        "exp_stats62" => case!(stats62),
-        "exp_stats63" => case!(stats63),
-        "exp_ablation" => case!(ablation),
-        "exp_tables" => case!(tables_exp),
-        "exp_coevolution" => case!(co_evolution_exp),
-        "exp_forecast" => case!(forecast),
-        "exp_safety" => case!(safety_exp),
-        _ => return None,
-    })
+    ids
+};
+
+/// Runs experiment `id` against `ctx` (see [`Experiment::run`]). `None`
+/// for an unknown id.
+pub fn run_experiment(id: &str, ctx: &ExpContext) -> Option<(String, serde_json::Value)> {
+    EXPERIMENTS
+        .iter()
+        .find(|e| e.id == id)
+        .map(|e| (e.run)(ctx))
 }
 
 #[cfg(test)]

@@ -8,8 +8,12 @@
 //! corpus through the full measurement pipeline.
 //!
 //! Every experiment is a library function returning a serializable result
-//! with a `render()` method; the `exp_*` binaries are thin wrappers that
-//! print the rendering (and the Criterion benches time the computations).
+//! with a `render()` method, registered once in
+//! [`experiments::EXPERIMENTS`]. `schemachron experiments <id>` runs one;
+//! the `exp_all` binary runs them all and persists their outputs under
+//! `target/experiments/`. The `speed_gates` binary checks the timing
+//! properties of the stage cache, the as-of checkpoints and the worker
+//! pool.
 //!
 //! | id  | paper artifact | function |
 //! |-----|----------------|----------|

@@ -354,7 +354,7 @@ fn serve(args: &[String], out: &mut dyn Write) -> CliResult {
         ..schemachron_serve::ServerConfig::default()
     };
     if let Some(d) = deadline {
-        config.request_deadline = d;
+        config.guard.deadline = d;
     }
     config.stream_dir = opt_value(&argv, "--stream-dir").map(PathBuf::from);
     let jobs = config.jobs;

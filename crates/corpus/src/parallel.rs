@@ -61,9 +61,9 @@ pub fn effective_jobs() -> usize {
 /// Minimum number of items each worker must have to justify spawning
 /// threads at all. Below `jobs * MIN_ITEMS_PER_WORKER` items, thread
 /// spawn/teardown and slot locking outweigh the per-item pipeline work
-/// (`BENCH_pipeline.json` recorded a 0.84× "speedup" for the 151-project
-/// corpus on two workers) and [`par_map`] runs serially instead. Output is
-/// identical on either side of the threshold — only the schedule changes.
+/// (two workers measured a 0.84× "speedup" on the 151-project corpus) and
+/// [`par_map`] runs serially instead. Output is identical on either side
+/// of the threshold — only the schedule changes.
 pub const MIN_ITEMS_PER_WORKER: usize = 128;
 
 /// Bound on per-item attempts when an injected-transient fault panics the

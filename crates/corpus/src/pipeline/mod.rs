@@ -28,7 +28,8 @@
 //!
 //! Observability: global per-stage hit/miss/wall-time counters
 //! ([`stage_stats`], surfaced on the HTTP service's `/health` and in
-//! `BENCH_stages.json`) plus an exact per-call [`StageTrace`] for tests.
+//! perfbench's `pipeline.*` metrics) plus an exact per-call [`StageTrace`]
+//! for tests.
 
 mod artifact;
 mod stage;

@@ -52,7 +52,7 @@ pub const STAGES: [Namespace; 8] = [
 ];
 
 /// The stage names in pipeline order — the canonical ordering for counter
-/// snapshots, `/health` and `BENCH_stages.json`.
+/// snapshots, `/health` and perfbench's `pipeline.*` metrics.
 pub const STAGE_ORDER: [&str; 8] = {
     let mut order = [""; 8];
     let mut i = 0;

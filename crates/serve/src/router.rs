@@ -165,8 +165,8 @@ impl Counters {
 }
 
 /// Request-guard parameters: the per-request wall-clock deadline and the
-/// breaker cooldown. Both are plumbed from `ServerConfig` (and from the
-/// chaos harness, which uses much shorter values).
+/// breaker cooldown. Set through `ServerConfig::guard` (and by the chaos
+/// harness, which uses much shorter values).
 #[derive(Clone, Copy, Debug)]
 pub struct GuardConfig {
     /// Wall-clock budget per guarded request; exceeding it answers `504`
@@ -421,8 +421,8 @@ impl AppState {
 
     fn health(&self) -> Response {
         // Per-stage hit/miss/wall-time counters of the corpus ingestion
-        // pipeline, in pipeline order — the live view of the same numbers
-        // `stage_bench` writes to BENCH_stages.json.
+        // pipeline, in pipeline order — the live view of the numbers
+        // perfbench reports as its `pipeline.*` per-layer metrics.
         let stages: Vec<Value> = schemachron_corpus::pipeline::stage_stats()
             .iter()
             .map(|s| {

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use serde_json::json;
 
 use crate::http;
-use crate::router::AppState;
+use crate::router::{AppState, GuardConfig};
 
 /// How often the accept loop wakes up to check for a shutdown request
 /// while no connections arrive.
@@ -28,12 +28,8 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Suppress the per-request log lines (used by tests and benches).
     pub quiet: bool,
-    /// Wall-clock budget per request; past it the worker answers `504`
-    /// while the handler finishes detached.
-    pub request_deadline: Duration,
-    /// How long an opened per-route circuit breaker sheds load before
-    /// admitting a half-open probe.
-    pub breaker_cooldown: Duration,
+    /// The request guard: per-request deadline and breaker cooldown.
+    pub guard: GuardConfig,
     /// Root directory for the streaming WALs (`POST /project/{id}/commit`).
     /// `None` uses a per-process temp directory: appends work but do not
     /// survive a restart of the service.
@@ -42,15 +38,13 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let guard = crate::router::GuardConfig::default();
         ServerConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 8080)),
             jobs: schemachron_corpus::effective_jobs().max(2),
             queue_depth: 128,
             seed: schemachron_bench::DEFAULT_SEED,
             quiet: false,
-            request_deadline: guard.deadline,
-            breaker_cooldown: guard.breaker_cooldown,
+            guard: GuardConfig::default(),
             stream_dir: None,
         }
     }
@@ -91,13 +85,9 @@ impl Server {
     /// real request never pays the build.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
-        let guard = crate::router::GuardConfig {
-            deadline: config.request_deadline,
-            breaker_cooldown: config.breaker_cooldown,
-        };
         let state = match &config.stream_dir {
-            Some(dir) => AppState::with_stream_root(config.seed, guard, dir.clone()),
-            None => AppState::with_guard(config.seed, guard),
+            Some(dir) => AppState::with_stream_root(config.seed, config.guard, dir.clone()),
+            None => AppState::with_guard(config.seed, config.guard),
         };
         Ok(Server {
             listener,
